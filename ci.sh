@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, the tier-1 verify (release build + tests),
-# the bgp-check model-checking suites, a smoke run of a figure binary
-# checking that its JSON report and its --trace probe artifacts parse, and
-# the performance-regression gate (bench_gate) against the committed
-# baseline.
+# CI gate: formatting, lints, the tier-1 verify (release build + every
+# workspace test), the bgp-check model-checking suites, a smoke run of a
+# figure binary checking that its JSON report and its --trace probe
+# artifacts parse, and the performance-regression gate (bench_gate)
+# against the committed baseline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -39,10 +39,12 @@ cargo clippy -p bgp-shmem -p bgp-smp -p bgp-sched --all-targets --features model
 
 # BGP_STRESS_FULL=1 restores the full stress-test iteration counts that
 # bgp_shmem::testing::stress_iters would otherwise scale down on small
-# (1-2 core) hosts. CI always runs the full volumes.
-echo "== tier-1: cargo build --release && cargo test -q (full stress volumes)"
+# (1-2 core) hosts. CI always runs the full volumes. --workspace runs the
+# tier-1 root-package tests plus every crate's own unit and integration
+# tests (the --features model suites run below).
+echo "== tier-1: cargo build --release && cargo test -q --workspace (full stress volumes)"
 cargo build --release
-BGP_STRESS_FULL=1 cargo test -q
+BGP_STRESS_FULL=1 cargo test -q --workspace
 
 echo "== model checker self-tests (bgp-check)"
 cargo test -q -p bgp-check

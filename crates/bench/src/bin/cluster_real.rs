@@ -113,7 +113,7 @@ fn main() {
     // inter-node chunks than the flat multi-color ring (which rounds each
     // of the n color spans up to the chunk grid separately); at n = 2 the
     // two schedules tie, so the --small smoke asserts <=.
-    let na_once = |fused: bool| {
+    let na_once = || {
         let got = cluster.run(move |cctx| {
             let input = cctx.intra().alloc_buffer(ALLREDUCE_COUNT * 8);
             let output = cctx.intra().alloc_buffer(ALLREDUCE_COUNT * 8);
@@ -123,11 +123,7 @@ fn main() {
                 &vec![cctx.global_rank() as f64 + 1.0; ALLREDUCE_COUNT],
             );
             cctx.intra().barrier();
-            if fused {
-                cctx.allreduce_f64_node_aware_fused(&input, &output, ALLREDUCE_COUNT);
-            } else {
-                cctx.allreduce_f64_node_aware(&input, &output, ALLREDUCE_COUNT);
-            }
+            cctx.allreduce_f64_node_aware(&input, &output, ALLREDUCE_COUNT);
             read_f64s(&output, 0, ALLREDUCE_COUNT).iter().sum::<f64>()
         });
         if check {
@@ -138,10 +134,7 @@ fn main() {
         }
         black_box(got);
     };
-    bench_case_median("cluster/allreduce_node_aware_16K", 10, || na_once(false));
-    bench_case_median("cluster/allreduce_node_aware_fused_16K", 10, || {
-        na_once(true)
-    });
+    bench_case_median("cluster/allreduce_node_aware_16K", 10, na_once);
     let chunks = |cluster: &Cluster| -> usize {
         cluster.run(|cctx| cctx.fabric().total_chunks_sent())[0][0]
     };
@@ -156,7 +149,7 @@ fn main() {
     black_box(got);
     let flat_chunks = chunks(&cluster) - before;
     let before = chunks(&cluster);
-    na_once(false);
+    na_once();
     let na_chunks = chunks(&cluster) - before;
     println!(
         "probe: inter-node chunks per 16K-double allreduce: flat={flat_chunks} node_aware={na_chunks}"

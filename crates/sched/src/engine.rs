@@ -18,47 +18,50 @@
 //!
 //! ## Protocols
 //!
+//! The network side of every op is `bgp_smp::netcore` — the code the
+//! blocking cluster collectives and the process worker run too. The engine
+//! holds one [`RingFlow`] or [`TreeRelay`] per in-flight op, demultiplexes
+//! link chunks to them by op id, and tags their chunks per op
+//! ([`optag`]).
+//!
 //! **ibcast** — the root exposes its buffer; the engine on the root node
-//! maps it and injects all chunks down the re-rooted tree ([`Fabric::bcast_out`]);
-//! root-node members copy straight out of the root's buffer (valid in full
-//! at post time). On every other node the engine receives chunks into a
-//! staging region, publishes received bytes on the op's reception counter,
-//! and forwards on the remaining tree ports; members chase the counter and
-//! copy out — §V-B's reception/copy overlap, per op. Each member publishes
-//! `+1` on the op's done counter when its copy finishes; the root's request
-//! completes when injection is done and all co-located members copied.
+//! maps it and relays all chunks down the re-rooted tree
+//! ([`Fabric::bcast_out`]); root-node members copy straight out of the
+//! root's buffer (valid in full at post time). On every other node the
+//! engine's relay lands chunks in a staging region and forwards them on the
+//! remaining tree ports, and the engine publishes received bytes on the
+//! op's reception counter; members chase the counter and copy out — §V-B's
+//! reception/copy overlap, per op. Each member publishes `+1` on the op's
+//! done counter when its copy finishes; the root's request completes when
+//! injection is done and all co-located members copied.
 //!
 //! **iallreduce** — members expose inputs; the engine exposes a node
 //! accumulator. The local reduce is partitioned by member index (member i
 //! sums *all* local inputs for its chunk range, publishing its partial
-//! stream), then the engine runs the same partial/full ring flow as the
-//! blocking `allreduce_f64` — inject at ring position 0, combine-and-forward
-//! in the middle, write+publish results at the end, circulate fully-reduced
-//! chunks back — but tagged per op and interleaved with every other
-//! in-flight op's flow. Ring direction alternates with op parity so
-//! consecutive ops use both links. Members chase the result counter into
-//! their outputs; a member's request completes only when every local
-//! partial stream is also finished (its *input* must be reusable, and
-//! co-members read it during the local reduce).
+//! stream), then the op's ring flow carries the accumulator around the
+//! ring, interleaved with every other in-flight op's flow. Ring direction
+//! alternates with op parity so consecutive ops use both links. Members
+//! chase the result counter into their outputs; a member's request
+//! completes only when every local partial stream is also finished (its
+//! *input* must be reusable, and co-members read it during the local
+//! reduce).
 //!
 //! ## Progress, parking, and deadlock-freedom
 //!
-//! Everything the engine sends uses non-blocking sends; reception of
-//! broadcast data and fully-reduced chunks is ungated (their landing zones
-//! are preallocated), so links always drain and backpressure only ever
-//! pauses *production*. The one gated reception — an allreduce partial
-//! waiting for the local partition or for output window room — only waits
-//! on node-local progress, which member polls guarantee. Chunks that arrive
-//! for an op this node has not posted yet (a faster peer ran ahead,
-//! possibly across a job boundary) are parked in the node's stash
-//! ([`NodeShared::sched_stash`]) and replayed, in arrival order, once the
-//! post happens.
+//! The flows and relays never block and gate only allreduce partials, on
+//! node-local progress (see `bgp_smp::netcore` for the argument), which
+//! member polls guarantee. What the engine adds is op demultiplexing:
+//! chunks that arrive for an op this node has not posted yet (a faster peer
+//! ran ahead, possibly across a job boundary) are parked in the node's
+//! stash ([`NodeShared::sched_stash`]) and replayed, in arrival order, once
+//! the post happens, so links keep draining.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use bgp_shmem::{spin, MessageCounter, SharedRegion};
 use bgp_smp::kernels;
+use bgp_smp::netcore::{chunk_at, Kind, RingFlow, RingNode, TreeRelay};
 use bgp_smp::transport::{optag, ChunkChannel, Fabric, RingDir};
 use bgp_smp::{ClusterCtx, NodeShared};
 
@@ -127,24 +130,13 @@ pub fn validate_group_shape(group: &[usize], n_ranks: usize) -> Result<(), Sched
     Ok(())
 }
 
-/// `(byte offset, byte length)` of chunk `k` in a `len`-byte message.
-fn chunk_span(len: usize, chunk: usize, k: usize) -> (usize, usize) {
-    let off = k * chunk;
-    (off, (len - off).min(chunk))
-}
-
-/// `(element offset, element count)` of chunk `k` in a `count`-element
-/// f64 message with `ce` elements per chunk.
-fn elem_span(count: usize, ce: usize, k: usize) -> (usize, usize) {
-    let e0 = k * ce;
-    (e0, (count - e0).min(ce))
-}
-
-/// Does ring position `pos` forward fully-reduced chunks? The producer
-/// (last position) always does; every receiver except the final one
-/// (position `m-2`, the producer's upstream neighbor) forwards too.
-fn sends_fulls(pos: usize, m: usize) -> bool {
-    pos == m - 1 || pos != m - 2
+/// The ring-flow kind of an allreduce chunk's link-tag kind.
+fn ring_kind(kind: u64) -> Kind {
+    match kind {
+        optag::KIND_PARTIAL => Kind::Partial,
+        optag::KIND_FULL => Kind::Full,
+        _ => unreachable!("unknown chunk kind {kind}"),
+    }
 }
 
 /// Handle of one posted nonblocking operation. `Copy`, cheap, and only
@@ -260,15 +252,11 @@ struct AgMember {
 struct NetBcast {
     root_node: usize,
     root_rank: usize,
-    len: usize,
-    kt: usize,
     is_root_node: bool,
     /// Root node: the mapped source (may lag the post of a co-located
     /// root). Elsewhere: the engine-owned staging region.
     buf: Option<Arc<SharedRegion>>,
-    /// Chunks injected per outbound tree port (port order of `bcast_out`).
-    injected: Vec<usize>,
-    recv_chunks: usize,
+    relay: TreeRelay,
     recv_ctr: Option<Arc<MessageCounter>>,
     netdone: Arc<MessageCounter>,
     netdone_published: bool,
@@ -276,14 +264,20 @@ struct NetBcast {
     expected_done: u64,
 }
 
-/// The network side of one allreduce on this node.
+/// The network side of one allreduce on this node: its ring flow and the
+/// node-local side the flow runs against.
 struct NetAr {
-    count: usize,
-    ce: usize,
-    kt: usize,
+    flow: RingFlow,
+    node: ArNode,
     g: usize,
-    dir: RingDir,
-    pos: usize,
+    done: Arc<MessageCounter>,
+    expected_done: u64,
+}
+
+/// An allreduce's node-local side: the accumulator the members reduce
+/// into, partition by partition, and the result stream they copy out by.
+struct ArNode {
+    op: u64,
     acc: Arc<SharedRegion>,
     /// Chunk -> owning member index of the local reduce partition.
     owner: Vec<usize>,
@@ -292,33 +286,31 @@ struct NetAr {
     need: Vec<u64>,
     parts: Vec<Arc<MessageCounter>>,
     res: Arc<MessageCounter>,
-    done: Arc<MessageCounter>,
-    expected_done: u64,
-    injected: usize,
-    combined: usize,
-    /// Chunks whose *final* value landed in the accumulator (result
-    /// counter published).
-    fulls_done: usize,
-    fulls_sent: usize,
 }
 
-impl NetAr {
+// SAFETY: member `i` writes each chunk of its partition of the accumulator
+// once, before publishing it on `parts[i]`, and never again this op;
+// members read the accumulator as results only up to the prefix published
+// on `res`.
+unsafe impl RingNode for ArNode {
+    fn acc(&self) -> &SharedRegion {
+        &self.acc
+    }
+
     fn ready(&self, k: usize) -> bool {
         self.parts[self.owner[k]].read() >= self.need[k]
     }
 
-    fn flow_finished(&self, m: usize) -> bool {
-        let inj = if m > 1 && self.pos == 0 { self.kt } else { 0 };
-        let comb = if m > 1 && self.pos > 0 { self.kt } else { 0 };
-        let sent = if m > 1 && sends_fulls(self.pos, m) {
-            self.kt
-        } else {
-            0
+    fn tag(&self, kind: Kind, k: usize) -> u64 {
+        let kind = match kind {
+            Kind::Partial => optag::KIND_PARTIAL,
+            Kind::Full => optag::KIND_FULL,
         };
-        self.fulls_done == self.kt
-            && self.injected == inj
-            && self.combined == comb
-            && self.fulls_sent == sent
+        optag::pack(self.op, kind, k)
+    }
+
+    fn landed(&self, len: usize) {
+        self.res.publish(len as u64);
     }
 }
 
@@ -420,8 +412,6 @@ impl Engine {
     ) {
         let bank = self.shared.sched_bank();
         let is_root_node = self.node == root_node;
-        let kt = len.div_ceil(self.chunk);
-        let out_ports = self.fabric.bcast_out(self.node, root_node).len();
         let (buf, recv_ctr) = if is_root_node {
             // Map the co-located root's exposed source; it may not have
             // posted yet — `advance` retries.
@@ -448,12 +438,9 @@ impl Engine {
             NetOp::Bcast(NetBcast {
                 root_node,
                 root_rank,
-                len,
-                kt,
                 is_root_node,
                 buf,
-                injected: vec![0; out_ports],
-                recv_chunks: 0,
+                relay: TreeRelay::new(&self.fabric, self.node, root_node, len),
                 recv_ctr,
                 netdone: bank.counter(bank_key(op, SUB_NETDONE)),
                 netdone_published: false,
@@ -480,7 +467,6 @@ impl Engine {
         } else {
             RingDir::Minus
         };
-        let pos = self.fabric.ring_pos(self.node, dir);
         let mut owner = vec![0usize; kt];
         let mut need = vec![0u64; kt];
         for i in 0..g {
@@ -495,25 +481,20 @@ impl Engine {
         self.ops.insert(
             op,
             NetOp::Ar(Box::new(NetAr {
-                count,
-                ce,
-                kt,
+                flow: RingFlow::new(&self.fabric, self.node, dir, count * 8),
+                node: ArNode {
+                    op,
+                    acc,
+                    owner,
+                    need,
+                    parts: (0..g)
+                        .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
+                        .collect(),
+                    res: bank.counter(bank_key(op, SUB_RES)),
+                },
                 g,
-                dir,
-                pos,
-                acc,
-                owner,
-                need,
-                parts: (0..g)
-                    .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
-                    .collect(),
-                res: bank.counter(bank_key(op, SUB_RES)),
                 done: bank.counter(bank_key(op, SUB_DONE)),
                 expected_done: g as u64,
-                injected: 0,
-                combined: 0,
-                fulls_done: 0,
-                fulls_sent: 0,
             })),
         );
     }
@@ -558,25 +539,13 @@ impl Engine {
 
     /// Can the next chunk `(kind, k)` for `netop` be consumed right now?
     /// Pure check — consuming is only allowed after this returns true.
-    fn can_accept(netop: &NetOp, kind: u64, fabric: &Fabric, node: usize, m: usize) -> bool {
+    fn can_accept(netop: &NetOp, kind: u64, k: usize, fabric: &Fabric) -> bool {
         match netop {
             // Broadcast data lands in the preallocated stage: always.
             NetOp::Bcast(_) => true,
             // Allgather superblocks land in the preallocated accumulator.
             NetOp::Ag(_) => true,
-            NetOp::Ar(a) => match kind {
-                // A partial is combined and immediately forwarded (or, at
-                // the last position, written out): needs the local
-                // partition ready, and downstream link room unless last.
-                optag::KIND_PARTIAL => {
-                    a.ready(a.combined)
-                        && (a.pos == m - 1 || fabric.ring_send(node, a.dir).can_send())
-                }
-                // Fully-reduced chunks land in the accumulator: always
-                // (forwarding is deferred to the outbound pass).
-                optag::KIND_FULL => true,
-                _ => unreachable!("unknown chunk kind {kind}"),
-            },
+            NetOp::Ar(a) => a.flow.can_accept(fabric, ring_kind(kind), k, &a.node),
         }
     }
 
@@ -596,21 +565,22 @@ impl Engine {
         match netop {
             NetOp::Bcast(b) => {
                 debug_assert_eq!(kind, optag::KIND_DATA);
-                debug_assert_eq!(k, b.recv_chunks, "broadcast chunks arrive in order");
-                let (off, clen) = chunk_span(b.len, chunk, k);
-                debug_assert_eq!(clen, bytes.len());
                 let stage = b
                     .buf
                     .as_ref()
                     .expect("non-root stage exists from registration");
+                let outs = fabric.bcast_out(node, b.root_node);
                 // SAFETY: the engine is the only writer of the stage; member
                 // reads are gated on the reception counter published below.
-                unsafe { stage.write(off, bytes) };
-                b.recv_chunks += 1;
+                unsafe {
+                    b.relay.land(k, bytes, stage, &outs, |k| {
+                        optag::pack(op, optag::KIND_DATA, k)
+                    })
+                };
                 b.recv_ctr
                     .as_ref()
                     .expect("only non-root nodes receive")
-                    .publish(clen as u64);
+                    .publish(bytes.len() as u64);
             }
             NetOp::Ag(a) => {
                 debug_assert_eq!(kind, optag::KIND_DATA);
@@ -618,7 +588,7 @@ impl Engine {
                 let s = k / a.kb + 1;
                 let c = k % a.kb;
                 let u = a.upstream(node, m, s);
-                let (off, clen) = chunk_span(a.sb, chunk, c);
+                let (off, clen) = chunk_at(a.sb, chunk, c);
                 debug_assert_eq!(clen, bytes.len());
                 // SAFETY: the engine is the unique writer of remote
                 // superblocks; member reads are gated on the prefix
@@ -629,58 +599,7 @@ impl Engine {
                     a.have[u] = true;
                 }
             }
-            NetOp::Ar(a) => match kind {
-                optag::KIND_PARTIAL => {
-                    debug_assert!(a.pos > 0, "position 0 receives no partials");
-                    debug_assert_eq!(k, a.combined, "partials arrive in order");
-                    let (e0, ec) = elem_span(a.count, a.ce, k);
-                    debug_assert_eq!(ec * 8, bytes.len());
-                    a.combined += 1;
-                    if a.pos == m - 1 {
-                        // End of the partial chain: accumulate the incoming
-                        // chunk into the local partial in place — it *is*
-                        // the final value.
-                        // SAFETY: local partial ready (gated by `ready`);
-                        // member reads gated on the counter publish below.
-                        unsafe {
-                            a.acc.with_bytes_mut(e0 * 8, ec * 8, |local| {
-                                kernels::add_bytes_assign(local, bytes)
-                            })
-                        };
-                        a.res.publish((ec * 8) as u64);
-                        a.fulls_done += 1;
-                    } else {
-                        // can_accept checked can_send; the engine is the
-                        // sole producer of this link, so it still holds.
-                        // Fused combine: local partial + incoming chunk
-                        // lane-summed straight into the reserved outgoing
-                        // slot — zero staging copies.
-                        let out = fabric.ring_send(node, a.dir);
-                        let mut snd = out.reserve(ec * 8);
-                        snd.with_bytes_mut(|d| {
-                            // SAFETY: local partial ready (gated by `ready`).
-                            unsafe {
-                                a.acc.with_bytes(e0 * 8, ec * 8, |local| {
-                                    kernels::add_bytes_into(d, local, bytes)
-                                })
-                            }
-                        });
-                        snd.publish(optag::pack(op, optag::KIND_PARTIAL, k));
-                    }
-                }
-                optag::KIND_FULL => {
-                    debug_assert!(m > 1 && a.pos != m - 1, "the producer receives no fulls");
-                    debug_assert_eq!(k, a.fulls_done, "fulls arrive in order");
-                    let (e0, ec) = elem_span(a.count, a.ce, k);
-                    debug_assert_eq!(ec * 8, bytes.len());
-                    // SAFETY: final value of the chunk; members read it
-                    // gated on the result counter published below.
-                    unsafe { a.acc.write(e0 * 8, bytes) };
-                    a.res.publish((ec * 8) as u64);
-                    a.fulls_done += 1;
-                }
-                _ => unreachable!("unknown chunk kind {kind}"),
-            },
+            NetOp::Ar(a) => a.flow.consume(fabric, ring_kind(kind), k, bytes, &a.node),
         }
     }
 
@@ -715,7 +634,7 @@ impl Engine {
                 while let Some(tag) = stash.front_tag(*op) {
                     let (o, kind, k) = optag::unpack(tag);
                     debug_assert_eq!(o, *op);
-                    if !Self::can_accept(netop, kind, &fabric, node, m) {
+                    if !Self::can_accept(netop, kind, k, &fabric) {
                         break;
                     }
                     let (_, bytes) = stash.pop_front(*op).expect("front_tag was Some");
@@ -733,7 +652,7 @@ impl Engine {
                     NetOp::Bcast(b) if !b.is_root_node => {
                         ports.push(fabric.bcast_in(node, b.root_node));
                     }
-                    NetOp::Ar(a) => ports.push(fabric.ring_recv(node, a.dir)),
+                    NetOp::Ar(a) => ports.push(fabric.ring_recv(node, a.flow.dir())),
                     NetOp::Ag(a) => ports.push(fabric.ring_recv(node, a.dir)),
                     _ => {}
                 }
@@ -761,7 +680,7 @@ impl Engine {
                     continue;
                 }
                 let netop = self.ops.get_mut(&op).expect("checked above");
-                if !Self::can_accept(netop, kind, &fabric, node, m) {
+                if !Self::can_accept(netop, kind, k, &fabric) {
                     // Transient head-of-line wait on node-local progress.
                     break;
                 }
@@ -776,77 +695,21 @@ impl Engine {
             match netop {
                 NetOp::Bcast(b) => {
                     if let Some(buf) = b.buf.as_ref() {
-                        let limit = if b.is_root_node { b.kt } else { b.recv_chunks };
                         let outs = fabric.bcast_out(node, b.root_node);
-                        debug_assert_eq!(outs.len(), b.injected.len());
-                        for (i, ch) in outs.iter().enumerate() {
-                            while b.injected[i] < limit {
-                                let k = b.injected[i];
-                                let (off, clen) = chunk_span(b.len, chunk, k);
-                                let sent = ch.try_send_with(
-                                    optag::pack(*op, optag::KIND_DATA, k),
-                                    clen,
-                                    // SAFETY: `[off, off+clen)` is valid: the
-                                    // whole source at the root, received
-                                    // bytes in the stage elsewhere.
-                                    |d| unsafe { buf.read(off, d) },
-                                );
-                                if !sent {
-                                    break;
-                                }
-                                b.injected[i] += 1;
-                            }
-                        }
+                        // SAFETY: the landed chunks are valid: the whole
+                        // source at the root, received bytes elsewhere.
+                        unsafe {
+                            b.relay
+                                .push(buf, &outs, |k| optag::pack(*op, optag::KIND_DATA, k))
+                        };
                     }
-                    if !b.netdone_published {
-                        let sent_all = b.injected.iter().all(|&c| c == b.kt);
-                        let recv_ok = b.is_root_node || b.recv_chunks == b.kt;
-                        if sent_all && recv_ok {
-                            b.netdone.publish(1);
-                            b.netdone_published = true;
-                        }
+                    if !b.netdone_published && b.relay.finished() {
+                        b.netdone.publish(1);
+                        b.netdone_published = true;
                     }
                 }
                 NetOp::Ar(a) => {
-                    if m > 1 {
-                        let out = fabric.ring_send(node, a.dir);
-                        if a.pos == 0 {
-                            while a.injected < a.kt && a.ready(a.injected) && out.can_send() {
-                                let k = a.injected;
-                                let (e0, ec) = elem_span(a.count, a.ce, k);
-                                out.send_with(
-                                    optag::pack(*op, optag::KIND_PARTIAL, k),
-                                    ec * 8,
-                                    // SAFETY: gated on `ready(k)`.
-                                    |d| unsafe { a.acc.read(e0 * 8, d) },
-                                );
-                                a.injected += 1;
-                            }
-                        }
-                        let target = if sends_fulls(a.pos, m) {
-                            a.fulls_done
-                        } else {
-                            0
-                        };
-                        while a.fulls_sent < target && out.can_send() {
-                            let k = a.fulls_sent;
-                            let (e0, ec) = elem_span(a.count, a.ce, k);
-                            out.send_with(
-                                optag::pack(*op, optag::KIND_FULL, k),
-                                ec * 8,
-                                // SAFETY: final values, stable once published.
-                                |d| unsafe { a.acc.read(e0 * 8, d) },
-                            );
-                            a.fulls_sent += 1;
-                        }
-                    } else {
-                        // Single node: local sums are already final.
-                        while a.fulls_done < a.kt && a.ready(a.fulls_done) {
-                            let (_, ec) = elem_span(a.count, a.ce, a.fulls_done);
-                            a.res.publish((ec * 8) as u64);
-                            a.fulls_done += 1;
-                        }
-                    }
+                    a.flow.push(&fabric, &a.node);
                 }
                 NetOp::Ag(a) => {
                     if !a.have[node] && a.local_ready() {
@@ -864,7 +727,7 @@ impl Engine {
                             }
                             while a.sent_chunks < a.kb && out.can_send() {
                                 let c = a.sent_chunks;
-                                let (off, clen) = chunk_span(a.sb, chunk, c);
+                                let (off, clen) = chunk_at(a.sb, chunk, c);
                                 out.send_with(
                                     optag::pack(*op, optag::KIND_DATA, (s - 1) * a.kb + c),
                                     clen,
@@ -902,7 +765,7 @@ impl Engine {
             .iter()
             .filter(|(_, netop)| match netop {
                 NetOp::Bcast(b) => b.netdone_published && b.done.read() >= b.expected_done,
-                NetOp::Ar(a) => a.flow_finished(m) && a.done.read() >= a.expected_done,
+                NetOp::Ar(a) => a.flow.finished() && a.done.read() >= a.expected_done,
                 NetOp::Ag(a) => a.flow_finished(m) && a.done.read() >= a.expected_done,
             })
             .map(|(op, _)| *op)
@@ -1056,18 +919,25 @@ impl Sched {
             self.roles.insert(op, Role::Done);
             return Ok(Request { op });
         }
+        // Invariant: a role fetches every counter it waits on *before* its
+        // first `expose`. Once a buffer is exposed, the engine may finish
+        // the op and `retire` its counters without waiting for a role it
+        // does not count (the broadcast root is not in `expected_done`);
+        // a counter fetched after that would be a fresh zero one, and the
+        // role would spin on it forever.
         let bank = self.shared.sched_bank();
         let done = bank.counter(bank_key(op, SUB_DONE));
         let is_root = self.node == root_node && self.rank == root_rank;
         let role = if is_root {
             let buf = buf.expect("root is a member");
+            let netdone = bank.counter(bank_key(op, SUB_NETDONE));
             self.shared
                 .registry()
                 .expose(self.rank as u32, reg_tag(op, ROLE_DATA), buf.clone());
             let p = buf_ptr.expect("member with len > 0");
             self.active_bufs.insert(p, op);
             Role::BcastRoot(BcastRoot {
-                netdone: bank.counter(bank_key(op, SUB_NETDONE)),
+                netdone,
                 done,
                 expected_done: group.len() as u64 - 1,
                 src_ptr: p,
@@ -1220,9 +1090,6 @@ impl Sched {
             let (in_ptr, out_ptr) = ptrs.expect("member with count > 0");
             self.active_bufs.insert(in_ptr, op);
             self.active_bufs.insert(out_ptr, op);
-            self.shared
-                .registry()
-                .expose(self.rank as u32, reg_tag(op, ROLE_DATA), input.clone());
             let my_index = group.binary_search(&self.rank).expect("member");
             let part_total: Vec<u64> = (0..g)
                 .map(|i| {
@@ -1231,7 +1098,7 @@ impl Sched {
                     ((hi_e - lo_e) * 8) as u64
                 })
                 .collect();
-            Role::ArMember(Box::new(ArMember {
+            let role = Role::ArMember(Box::new(ArMember {
                 group: group.to_vec(),
                 my_index,
                 count,
@@ -1253,7 +1120,12 @@ impl Sched {
                 res: bank.counter(bank_key(op, SUB_RES)),
                 done: bank.counter(bank_key(op, SUB_DONE)),
                 copied: 0,
-            }))
+            }));
+            // Counters first, then the exposure (see `ibcast`).
+            self.shared
+                .registry()
+                .expose(self.rank as u32, reg_tag(op, ROLE_DATA), input.clone());
+            role
         } else {
             Role::Done
         };
@@ -1591,7 +1463,7 @@ fn step_ar_member(
     if matches!(a.phase, ArPhase::Reduce) {
         let acc = a.acc.as_ref().expect("mapped in Map phase");
         for k in a.lo..a.hi {
-            let (e0, ec) = elem_span(a.count, a.ce, k);
+            let (off, len) = chunk_at(a.count * 8, a.ce * 8, k);
             // Reduce straight into the stage: seed with the first input,
             // lane-add the rest over it in place. Inputs are final from
             // before their exposure; reading them ungated is ordered by the
@@ -1599,22 +1471,20 @@ fn step_ar_member(
             // SAFETY: this member is the unique writer of its stage
             // partition; readers are gated on the parts publish below.
             unsafe {
-                acc.with_bytes_mut(e0 * 8, ec * 8, |dst| {
+                acc.with_bytes_mut(off, len, |dst| {
                     a.inputs[0]
                         .as_ref()
                         .expect("mapped")
-                        .with_bytes(e0 * 8, dst.len(), |src| dst.copy_from_slice(src));
+                        .with_bytes(off, len, |src| dst.copy_from_slice(src));
                     for input in &a.inputs[1..] {
                         input
                             .as_ref()
                             .expect("mapped")
-                            .with_bytes(e0 * 8, dst.len(), |src| {
-                                kernels::add_bytes_assign(dst, src)
-                            });
+                            .with_bytes(off, len, |src| kernels::add_bytes_assign(dst, src));
                     }
                 })
             };
-            a.parts[a.my_index].publish((ec * 8) as u64);
+            a.parts[a.my_index].publish(len as u64);
         }
         a.phase = ArPhase::CopyOut;
     }

@@ -22,6 +22,12 @@ fn pattern(seed: u8, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// Ring and tree shapes beyond two nodes, with a 256-byte (32-double)
+/// link chunk and a two-chunk window: the engine's middle ring positions
+/// (combine-and-forward, and the position-`m-2` non-forwarder) and its
+/// interior tree relays only run at `m >= 3`.
+const WIDE_SHAPES: [(usize, usize); 4] = [(3, 1), (4, 1), (3, 2), (4, 2)];
+
 #[test]
 fn ibcast_delivers_multi_chunk_payload() {
     let cluster = Cluster::new(2, 4);
@@ -41,6 +47,40 @@ fn ibcast_delivers_multi_chunk_payload() {
     for node in &results {
         for got in node {
             assert_eq!(*got, expect);
+        }
+    }
+
+    for (m, n) in WIDE_SHAPES {
+        let cluster = Cluster::with_geometry(m, n, 256, 2);
+        let group: Vec<usize> = (0..n).collect();
+        for root_node in 0..m {
+            let root_rank = n - 1;
+            for len in [1usize, 255, 257, 1001] {
+                let seed = (root_node * 31 + len) as u8;
+                let group = group.clone();
+                let results = cluster.run(move |cctx| {
+                    let buf = Arc::new(SharedRegion::new(len));
+                    if cctx.node() == root_node && cctx.rank() == root_rank {
+                        // SAFETY: freshly allocated, not yet shared.
+                        unsafe { buf.write(0, &pattern(seed, len)) };
+                    }
+                    let mut sched = Sched::new(cctx);
+                    let req = sched
+                        .ibcast(&group, root_node, root_rank, Some(&buf), len)
+                        .unwrap();
+                    sched.wait(req);
+                    read_bytes(&buf, len)
+                });
+                for node in &results {
+                    for got in node {
+                        assert_eq!(
+                            *got,
+                            pattern(seed, len),
+                            "({m},{n}) root {root_node} len {len}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
@@ -68,6 +108,40 @@ fn iallreduce_sums_across_cluster() {
         for got in node {
             for (i, v) in got.iter().enumerate() {
                 assert_eq!(*v, rank_sum + 8.0 * i as f64, "element {i}");
+            }
+        }
+    }
+
+    // Counts straddle the 32-double chunk; consecutive ops alternate ring
+    // direction, so both directions' positions run.
+    for (m, n) in WIDE_SHAPES {
+        let cluster = Cluster::with_geometry(m, n, 256, 2);
+        let world = m * n;
+        let group: Vec<usize> = (0..n).collect();
+        for count in [1usize, 31, 32, 33, 97, 200] {
+            let group = group.clone();
+            let results = cluster.run(move |cctx| {
+                let vals: Vec<f64> = (0..count)
+                    .map(|i| (cctx.global_rank() + i) as f64)
+                    .collect();
+                let input = Arc::new(SharedRegion::new(count * 8));
+                write_f64s(&input, 0, &vals);
+                let output = Arc::new(SharedRegion::new(count * 8));
+                let mut sched = Sched::new(cctx);
+                let req = sched
+                    .iallreduce(&group, Some(&input), Some(&output), count)
+                    .unwrap();
+                sched.wait(req);
+                read_f64s(&output, 0, count)
+            });
+            let rank_sum = (world * (world - 1) / 2) as f64;
+            for node in &results {
+                for got in node {
+                    for (i, v) in got.iter().enumerate() {
+                        let want = rank_sum + (world * i) as f64;
+                        assert_eq!(*v, want, "({m},{n}) count {count} element {i}");
+                    }
+                }
             }
         }
     }
@@ -491,4 +565,41 @@ fn zero_length_rs_ag_complete_at_post() {
         sched.is_complete(r1) && sched.is_complete(r2)
     });
     assert!(oks.iter().flatten().all(|&ok| ok));
+}
+
+/// Regression: a broadcast rooted at rank 1 of node 0 could hang. The root
+/// exposed its buffer before fetching the op's net-done counter; the
+/// engine (rank 0) could then inject everything, see every *counted* copy
+/// done — the root's own is not counted — and retire the counter first,
+/// leaving the root spinning on a fresh zero one. One op per job, as the
+/// service layer runs them, under a watchdog that fails instead of hanging.
+#[test]
+fn rank_one_root_bcasts_never_hang() {
+    const OPS: usize = 40_000;
+    let len = 100;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cluster = Cluster::new(2, 2);
+        for i in 0..OPS {
+            let seed = i as u8;
+            let got = cluster.run(move |cctx| {
+                let buf = Arc::new(SharedRegion::new(len));
+                if cctx.node() == 0 && cctx.rank() == 1 {
+                    // SAFETY: fresh region.
+                    unsafe { buf.write(0, &pattern(seed, len)) };
+                }
+                let mut sched = Sched::new(cctx);
+                let req = sched.ibcast(&[0, 1], 0, 1, Some(&buf), len).unwrap();
+                sched.wait(req);
+                read_bytes(&buf, len)
+            });
+            assert!(
+                got.iter().flatten().all(|b| *b == pattern(seed, len)),
+                "op {i}"
+            );
+        }
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(120))
+        .expect("a broadcast rooted at rank (0, 1) never completed");
 }

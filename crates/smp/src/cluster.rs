@@ -19,16 +19,21 @@
 //!   core) chases the counter to forward chunks down the tree; the
 //!   remaining ranks chase it to copy out — one of them back-filling
 //!   rank 0's buffer — so network reception, forwarding, and intra-node
-//!   copies all overlap.
+//!   copies all overlap. The root's injection, and a single-rank node's
+//!   receive-and-forward, run the [`TreeRelay`](crate::netcore::TreeRelay).
 //! * [`ClusterCtx::allreduce_f64`] — the §V-C multi-color ring allreduce.
 //!   Every non-network rank owns a color: it locally reduces its partition
 //!   across the node's inputs into a color buffer, publishing chunk by
 //!   chunk. Rank 0 — the network core — drives *all* colors through the
-//!   ring concurrently (partials accumulate hop by hop in one direction,
-//!   fully-reduced chunks circulate back), and every rank copies finished
-//!   chunks out as result counters advance. Even colors ride the `+` ring
-//!   direction, odd colors the `-` direction, standing in for the paper's
-//!   torus-link parallelism.
+//!   ring concurrently, one [`RingFlow`] per color (partials accumulate
+//!   hop by hop in one direction, fully-reduced chunks circulate back), and
+//!   every rank copies finished chunks out as result counters advance. Even
+//!   colors ride the `+` ring direction, odd colors the `-` direction,
+//!   standing in for the paper's torus-link parallelism.
+//!
+//! The network core's protocol itself — flow, relay, and the argument for
+//! why they cannot deadlock — lives in [`crate::netcore`], shared with the
+//! `bgp-sched` progress engine and the process worker.
 //!
 //! Synchronization discipline: the cluster protocols never reset counters —
 //! they use the cumulative-reuse scheme (base read at operation start,
@@ -48,6 +53,7 @@ use std::thread::JoinHandle;
 use bgp_shmem::sync::Mutex;
 use bgp_shmem::SharedRegion;
 
+use crate::netcore::{self, ColorNode, RingFlow};
 use crate::runtime::{NodeShared, RankCtx};
 use crate::transport::{Fabric, RingDir};
 
@@ -491,9 +497,9 @@ impl Drop for Cluster {
     }
 }
 
-/// Broadcast chunk-tag kinds for the allreduce ring (bit 63 of the tag).
-/// `pub(crate)`: the cross-process runners in [`crate::proc`] speak the
-/// same wire format.
+/// Chunk-tag kinds for the allreduce rings (bit 63 of the tag), shared by
+/// the blocking ring drivers ([`crate::netcore`]) and the node-aware
+/// family.
 pub(crate) const KIND_PARTIAL: u64 = 0;
 pub(crate) const KIND_FULL: u64 = 1;
 
@@ -738,47 +744,24 @@ impl ClusterCtx {
         }
         self.ctx.barrier();
 
-        if is_root_node {
-            if me == 0 {
-                // Network core of the root: inject every chunk into every
-                // outbound tree port, then publish it for the local peers.
-                let outs = shared.fabric.bcast_out(v, root_node);
-                for (k, off, clen) in chunks_of(len, chunk) {
-                    for ch in &outs {
-                        // SAFETY: root reads its own buffer.
-                        ch.send_with(k as u64, clen, |dst| unsafe { buf.read(off, dst) });
-                    }
-                    self.ctx.aux_counter(0).publish(clen as u64);
-                }
+        if me == 0 && (is_root_node || n == 1) {
+            // The network core relays: at the root it injects from its own
+            // buffer, on a single-rank node it also receives.
+            if is_root_node {
+                // The source is valid in full: release the copy-outs at once.
+                self.ctx.aux_counter(0).publish(len as u64);
             } else {
-                let src = self.map_cached(0, op);
-                self.chase_copy(buf, &src, len, 0, base, None);
+                self.ctx
+                    .cluster_stats()
+                    .bcast_recv_ops
+                    .fetch_add(1, Ordering::Relaxed);
             }
-        } else if n == 1 {
-            // Single-rank node: receive and forward in one loop. The
-            // incoming slot is held on loan while it lands in our buffer
-            // *and* feeds each outbound slot directly — forwarding never
-            // re-reads the application buffer.
-            let in_ch = shared.fabric.bcast_in(v, root_node);
-            let outs = shared.fabric.bcast_out(v, root_node);
-            self.ctx
-                .cluster_stats()
-                .bcast_recv_ops
-                .fetch_add(1, Ordering::Relaxed);
-            for (k, off, clen) in chunks_of(len, chunk) {
-                let rs = in_ch.peek();
-                debug_assert_eq!(rs.tag(), k as u64);
-                // SAFETY: we are the only writer of our buf.
-                rs.with_bytes(|bytes| unsafe { buf.write(off, bytes) });
-                for ch in &outs {
-                    // Blocking on downstream space while holding the loan is
-                    // deadlock-free: tree links form no cycle, so the
-                    // consumer downstream never waits on our retire.
-                    let mut snd = ch.reserve(clen);
-                    rs.with_bytes(|bytes| snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes)));
-                    snd.publish(k as u64);
-                }
-            }
+            // SAFETY: at the root nobody writes `buf`; a single-rank node
+            // has nobody else to touch it.
+            unsafe { netcore::run_relay(&shared.fabric, v, root_node, buf, len) };
+        } else if is_root_node {
+            let src = self.map_cached(0, op);
+            self.chase_copy(buf, &src, len, 0, base, None);
         } else if me == recv_rank {
             // The receiver core: network chunks land directly in the
             // application buffer; each landing is published.
@@ -847,7 +830,7 @@ impl ClusterCtx {
         count: usize,
     ) {
         let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
+        let n = shared.n;
         assert!(input.len() >= count * 8, "input shorter than count");
         assert!(output.len() >= count * 8, "output shorter than count");
         let op = self.ctx.next_op();
@@ -918,27 +901,28 @@ impl ClusterCtx {
             }
         }
 
-        // Phase B — the network core drives the ring for all colors.
+        // Phase B — the network core drives the ring for all colors (on
+        // one node, each color's partials are its results).
         if me == 0 {
-            if m == 1 {
-                // One node: each color's partials *are* the results.
-                for (c, &base) in pbase.iter().enumerate().take(colors) {
+            let fabric = &shared.fabric;
+            let chunk = fabric.chunk_bytes();
+            let (mut flows, nodes): (Vec<RingFlow>, Vec<ColorNode>) = (0..colors)
+                .map(|c| {
                     let (lo, hi) = span(c);
-                    let total = ((hi - lo) * 8) as u64;
-                    let mut done = 0u64;
-                    while done < total {
-                        let avail = self
-                            .ctx
-                            .aux_counter(owner(c))
-                            .wait_past(base, done + 1)
-                            .min(total);
-                        self.ctx.aux_counter(n + c).publish(avail - done);
-                        done = avail;
-                    }
-                }
-            } else {
-                self.drive_ring(&shared, count, colors, &cbufs, &pbase);
-            }
+                    let bytes = (hi - lo) * 8;
+                    let node = ColorNode {
+                        acc: &cbufs[c],
+                        c,
+                        part: self.ctx.aux_counter(owner(c)),
+                        base: pbase[c],
+                        res: self.ctx.aux_counter(n + c),
+                        bytes,
+                        chunk,
+                    };
+                    (RingFlow::new(fabric, self.node, color_dir(c), bytes), node)
+                })
+                .unzip();
+            netcore::run_ring(fabric, self.node, &mut flows, &nodes);
         }
 
         // Phase C — every rank copies every color's finished chunks out,
@@ -966,237 +950,14 @@ impl ClusterCtx {
             self.ctx.registry().unexpose(me as u32, cb_tag);
         }
     }
+}
 
-    /// The ring engine (rank 0, m ≥ 2): advances every color concurrently
-    /// without ever blocking on a single flow. Partials of color `c` travel
-    /// position 0 → m-1 along the color's ring direction, accumulating this
-    /// node's partial at each hop; the last position writes the full result
-    /// and circulates it back 0 → m-2. Every consume is gated on local
-    /// readiness *and* downstream space, so head-of-line blocking cannot
-    /// deadlock: the terminal consumers (last position for partials,
-    /// position m-2 for fulls) consume unconditionally once their local
-    /// partial is ready.
-    fn drive_ring(
-        &mut self,
-        shared: &ClusterShared,
-        count: usize,
-        colors: usize,
-        cbufs: &[Arc<SharedRegion>],
-        pbase: &[u64],
-    ) {
-        let m = shared.m;
-        let n = shared.n;
-        let v = self.node;
-        let fabric = &shared.fabric;
-        let ce = fabric.chunk_bytes() / 8;
-
-        struct Flow {
-            dir: RingDir,
-            pos: usize,
-            owner: usize,
-            span: usize, // elements
-            kt: usize,   // chunks
-            injected: usize,
-            combined: usize,
-            fulls_local: usize,
-            fulls_sent: usize,
-        }
-        let sends_fulls = |pos: usize| pos == m - 1 || pos != m - 2;
-        let finished = |f: &Flow| {
-            f.fulls_local == f.kt
-                && f.injected == if f.pos == 0 { f.kt } else { 0 }
-                && f.combined == if f.pos > 0 { f.kt } else { 0 }
-                && f.fulls_sent == if sends_fulls(f.pos) { f.kt } else { 0 }
-        };
-
-        let mut flows: Vec<Flow> = (0..colors)
-            .map(|c| {
-                let dir = if c % 2 == 0 {
-                    RingDir::Plus
-                } else {
-                    RingDir::Minus
-                };
-                let lo = c * count / colors;
-                let hi = (c + 1) * count / colors;
-                Flow {
-                    dir,
-                    pos: fabric.ring_pos(v, dir),
-                    owner: if n == 1 { 0 } else { c + 1 },
-                    span: hi - lo,
-                    kt: (hi - lo).div_ceil(ce),
-                    injected: 0,
-                    combined: 0,
-                    fulls_local: 0,
-                    fulls_sent: 0,
-                }
-            })
-            .collect();
-        // Bytes of chunk k within a span, and cumulative bytes of the first
-        // `upto` chunks.
-        let chunk_len = |span: usize, k: usize| (span.min((k + 1) * ce) - k * ce) * 8;
-        let cum_bytes = |span: usize, upto: usize| (span.min(upto * ce) * 8) as u64;
-
-        // Chunks this op still expects on each incoming direction. The
-        // drain loop below must never peek past this: there is no
-        // cluster-wide barrier between collectives, so a chunk of the
-        // *next* ring collective can already be queued behind our last
-        // expected one (cross-op pipelining), and its tag — a different
-        // color space entirely — must be left for that op's engine.
-        let mut expect = [0usize; 2];
-        for f in &flows {
-            let di = (f.dir == RingDir::Minus) as usize;
-            if f.pos > 0 {
-                expect[di] += f.kt; // partials, position 1..m-1
-            }
-            if f.pos < m - 1 {
-                expect[di] += f.kt; // fulls, every position but the producer
-            }
-        }
-
-        loop {
-            let mut progressed = false;
-
-            for (c, f) in flows.iter_mut().enumerate() {
-                let out = fabric.ring_send(v, f.dir);
-                if f.pos == 0 {
-                    // Inject partials as the owner publishes them.
-                    while f.injected < f.kt
-                        && self.ctx.aux_counter(f.owner).read() - pbase[c]
-                            >= cum_bytes(f.span, f.injected + 1)
-                        && out.can_send()
-                    {
-                        let k = f.injected;
-                        let clen = chunk_len(f.span, k);
-                        let cbuf = &cbufs[c];
-                        // SAFETY: gated on the owner's publish of chunk k.
-                        let ok =
-                            out.try_send_with(pack_tag(c, KIND_PARTIAL, k), clen, |dst| unsafe {
-                                cbuf.read(k * ce * 8, dst)
-                            });
-                        debug_assert!(ok, "can_send held and we are the sole producer");
-                        f.injected += 1;
-                        progressed = true;
-                    }
-                }
-                if f.pos == m - 1 {
-                    // Send locally produced fulls when the wrap link has room.
-                    while f.fulls_sent < f.fulls_local && out.can_send() {
-                        let k = f.fulls_sent;
-                        let clen = chunk_len(f.span, k);
-                        let cbuf = &cbufs[c];
-                        // SAFETY: the full was written by this thread.
-                        let ok = out.try_send_with(pack_tag(c, KIND_FULL, k), clen, |dst| unsafe {
-                            cbuf.read(k * ce * 8, dst)
-                        });
-                        debug_assert!(ok);
-                        f.fulls_sent += 1;
-                        progressed = true;
-                    }
-                }
-            }
-
-            for dir in [RingDir::Plus, RingDir::Minus] {
-                let di = (dir == RingDir::Minus) as usize;
-                let in_ch = fabric.ring_recv(v, dir);
-                while expect[di] > 0 {
-                    let Some(tag) = in_ch.peek_tag() else { break };
-                    let (c, kind, k) = unpack_tag(tag);
-                    let f = &mut flows[c];
-                    debug_assert_eq!(f.dir, dir, "flow routed on the wrong ring direction");
-                    let out = fabric.ring_send(v, dir);
-                    let clen = chunk_len(f.span, k);
-                    let off = k * ce * 8;
-                    let cbuf = &cbufs[c];
-                    if kind == KIND_PARTIAL {
-                        debug_assert!(f.pos > 0);
-                        debug_assert_eq!(k, f.combined, "partials must arrive in order");
-                        // Gate: our own partial must be ready to combine, and
-                        // (unless we are the last position) the combined
-                        // chunk must have somewhere to go.
-                        if self.ctx.aux_counter(f.owner).read() - pbase[c]
-                            < cum_bytes(f.span, k + 1)
-                        {
-                            break;
-                        }
-                        if f.pos < m - 1 && !out.can_send() {
-                            break;
-                        }
-                        let rs = in_ch.peek();
-                        if f.pos < m - 1 {
-                            // Fused combine: local partial + incoming chunk
-                            // summed by the lane kernel straight into the
-                            // reserved outgoing slot. Zero staging copies.
-                            let mut snd = out.reserve(clen);
-                            rs.with_bytes(|inb| {
-                                // SAFETY: our partial is ready (counter gate
-                                // above) and this thread is the only other
-                                // accessor of cbuf's combine window.
-                                unsafe {
-                                    cbuf.with_bytes(off, clen, |local| {
-                                        snd.with_bytes_mut(|dst| {
-                                            crate::kernels::add_bytes_into(dst, local, inb)
-                                        })
-                                    })
-                                }
-                            });
-                            snd.publish(pack_tag(c, KIND_PARTIAL, k));
-                        } else {
-                            // Last hop: accumulate the incoming chunk into
-                            // the local partial in place — it *is* the
-                            // result.
-                            rs.with_bytes(|inb| {
-                                // SAFETY: as above; result readers are gated
-                                // on the counter publish below.
-                                unsafe {
-                                    cbuf.with_bytes_mut(off, clen, |local| {
-                                        crate::kernels::add_bytes_assign(local, inb)
-                                    })
-                                }
-                            });
-                            self.ctx.aux_counter(n + c).publish(clen as u64);
-                            f.fulls_local += 1;
-                        }
-                        f.combined += 1;
-                        expect[di] -= 1;
-                        progressed = true;
-                    } else {
-                        debug_assert!(f.pos < m - 1, "the originator never receives fulls");
-                        debug_assert_eq!(k, f.fulls_local, "fulls must arrive in order");
-                        let forwards = sends_fulls(f.pos);
-                        if forwards && !out.can_send() {
-                            break;
-                        }
-                        // Hold the incoming slot on loan: it lands in the
-                        // color buffer *and* feeds the outgoing slot
-                        // directly, never re-read from the region.
-                        let rs = in_ch.peek();
-                        // SAFETY: our earlier consumption of partial chunk k
-                        // (or, at position 0, its injection) ordered every
-                        // other reader of this range before this overwrite.
-                        rs.with_bytes(|bytes| unsafe { cbuf.write(off, bytes) });
-                        self.ctx.aux_counter(n + c).publish(clen as u64);
-                        f.fulls_local += 1;
-                        if forwards {
-                            let mut snd = out.reserve(clen);
-                            rs.with_bytes(|bytes| {
-                                snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes))
-                            });
-                            snd.publish(pack_tag(c, KIND_FULL, k));
-                            f.fulls_sent += 1;
-                        }
-                        expect[di] -= 1;
-                        progressed = true;
-                    }
-                }
-            }
-
-            if flows.iter().all(finished) {
-                break;
-            }
-            if !progressed {
-                bgp_shmem::spin();
-            }
-        }
+/// Ring direction of color `c`: even colors ride `+`, odd colors `-`.
+fn color_dir(c: usize) -> RingDir {
+    if c.is_multiple_of(2) {
+        RingDir::Plus
+    } else {
+        RingDir::Minus
     }
 }
 

@@ -14,7 +14,8 @@
 //! [`cluster`] implements the paper's two *integrated* protocols end to
 //! end: the §V-A/V-B core-specialized broadcast and the §V-C multi-color
 //! ring allreduce. Both runtimes are persistent: rank threads park on job
-//! queues between operations instead of being respawned per call.
+//! queues between operations instead of being respawned per call. Their
+//! network-core protocol is written once, in [`netcore`].
 //!
 //! This is the half of the reproduction that needs no simulation. It backs:
 //!
@@ -29,6 +30,7 @@ pub mod barrier;
 pub mod cluster;
 pub mod collectives;
 pub mod kernels;
+pub mod netcore;
 pub mod runtime;
 pub mod transport;
 

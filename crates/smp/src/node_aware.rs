@@ -1,6 +1,5 @@
 //! Node-aware cluster collectives: the locality-aware reduce-scatter +
-//! allgather allreduce of Bienz et al., the fused intra/inter hybrid
-//! variant of the MPI+MPI line of work, and the rounded-out collective set
+//! allgather allreduce of Bienz et al. and the rounded-out collective set
 //! (`reduce_scatter_f64`, `allgather`, `alltoall`).
 //!
 //! ## Stage decomposition
@@ -30,10 +29,6 @@
 //! with the chunk size. `tests/node_aware.rs` asserts the reduction via
 //! the `Fabric::total_chunks_sent` probe.
 //!
-//! The **fused** variant gates ring injection *per chunk* on the intra
-//! counters, so the inter-node stage starts while slower ranks are still
-//! reducing; the non-fused variant waits for the whole intra stage first.
-//!
 //! Tags ride the same `kind:1 | color:23 | k:40` namespace as the flat
 //! ring (`color` carries the segment / origin id); each collective
 //! validates its widest tag once per op with [`try_pack_tag`].
@@ -42,8 +37,8 @@ use super::*;
 
 /// When a queued chunk of the ring schedule may be sent.
 enum Gate {
-    /// The intra-node reduce must have covered the chunk (step-1 partials).
-    Intra,
+    /// At once: step-1 partials (the ring starts after the intra stage).
+    Now,
     /// The chunk's incoming partial was combined at the previous step.
     RsAdded,
     /// The chunk's final value is in the accumulator (allgather stage).
@@ -87,30 +82,6 @@ impl ClusterCtx {
         input: &Arc<SharedRegion>,
         output: &Arc<SharedRegion>,
         count: usize,
-    ) {
-        self.na_allreduce(input, output, count, false);
-    }
-
-    /// The fused hybrid variant of
-    /// [`allreduce_f64_node_aware`](Self::allreduce_f64_node_aware): ring
-    /// injection is gated per chunk on the intra-node reduce counters, so
-    /// the inter-node stage overlaps the intra-node stage instead of
-    /// waiting for it. Same results, same traffic. SPMD.
-    pub fn allreduce_f64_node_aware_fused(
-        &mut self,
-        input: &Arc<SharedRegion>,
-        output: &Arc<SharedRegion>,
-        count: usize,
-    ) {
-        self.na_allreduce(input, output, count, true);
-    }
-
-    fn na_allreduce(
-        &mut self,
-        input: &Arc<SharedRegion>,
-        output: &Arc<SharedRegion>,
-        count: usize,
-        fused: bool,
     ) {
         let shared = self.shared.clone();
         let (m, n) = (shared.m, shared.n);
@@ -191,11 +162,10 @@ impl ClusterCtx {
                     self.ctx.aux_counter(n).publish(clen(k) as u64);
                 }
             } else {
-                if !fused {
-                    for r in 0..n {
-                        if part_bytes[r] > 0 {
-                            self.ctx.aux_counter(r).wait_past(pbase[r], part_bytes[r]);
-                        }
+                // The ring stage starts once the intra stage is done.
+                for r in 0..n {
+                    if part_bytes[r] > 0 {
+                        self.ctx.aux_counter(r).wait_past(pbase[r], part_bytes[r]);
                     }
                 }
                 let seg = |w: usize| (w * kt / m, (w + 1) * kt / m);
@@ -209,7 +179,7 @@ impl ClusterCtx {
                             seg: w,
                             kind: KIND_PARTIAL,
                             k,
-                            gate: if s == 1 { Gate::Intra } else { Gate::RsAdded },
+                            gate: if s == 1 { Gate::Now } else { Gate::RsAdded },
                         });
                     }
                     let w = (v + m - s) % m; // reduce-scatter receives
@@ -246,10 +216,6 @@ impl ClusterCtx {
                     }
                 }
 
-                let intra_ready = |ctx: &crate::runtime::RankCtx, k: usize| {
-                    let (r, need) = chunk_need[k];
-                    !fused || ctx.aux_counter(r).read() - pbase[r] >= need
-                };
                 let mut rs_added = vec![false; kt];
                 let mut done = vec![false; kt];
                 // After the final reduce-scatter step, this node's own
@@ -264,7 +230,7 @@ impl ClusterCtx {
                     while si < splan.len() {
                         let it = &splan[si];
                         let ready = match it.gate {
-                            Gate::Intra => intra_ready(&self.ctx, it.k),
+                            Gate::Now => true,
                             Gate::RsAdded => rs_added[it.k],
                             Gate::Done => done[it.k],
                         };
@@ -288,16 +254,13 @@ impl ClusterCtx {
                         let Some(tag) = in_ch.peek_tag() else { break };
                         let it = &rplan[ri];
                         debug_assert_eq!(tag, pack_tag(it.seg, it.kind, it.k));
-                        if it.kind == KIND_PARTIAL && !intra_ready(&self.ctx, it.k) {
-                            break;
-                        }
                         let off = it.k * chunk;
                         let cl = clen(it.k);
                         let rs = in_ch.peek();
                         if it.kind == KIND_PARTIAL {
-                            // SAFETY: the intra gate ordered us after our
-                            // own partial of this chunk; we are the only
-                            // other accessor of the accumulator range.
+                            // SAFETY: the wait for the intra stage ordered us
+                            // after our own partial of this chunk; we are the
+                            // only other accessor of the accumulator range.
                             rs.with_bytes(|inb| unsafe {
                                 acc.with_bytes_mut(off, cl, |local| {
                                     crate::kernels::add_bytes_assign(local, inb)
@@ -422,7 +385,7 @@ impl ClusterCtx {
         }
 
         if me == 0 {
-            // Non-fused: the ring stage starts once the intra stage is done.
+            // The ring stage starts once the intra stage is done.
             for (r, &pb) in pbase.iter().enumerate() {
                 let (klo, khi) = rpart(r);
                 let total: u64 = (klo..khi).map(|k| clen(k) as u64).sum();
@@ -914,7 +877,7 @@ mod tests {
     use super::*;
     use crate::collectives::{read_f64s, write_f64s};
 
-    /// All three allreduce variants agree bitwise with the flat ring on
+    /// The node-aware allreduce agrees bitwise with the flat ring on
     /// integer-valued inputs (order-insensitive sums), across geometries
     /// including single-node and single-rank-per-node, and degenerate
     /// counts below the rank/color counts.
@@ -929,26 +892,19 @@ mod tests {
                     let input = cctx.intra().alloc_buffer((count * 8).max(1));
                     let flat = cctx.intra().alloc_buffer((count * 8).max(1));
                     let na = cctx.intra().alloc_buffer((count * 8).max(1));
-                    let fused = cctx.intra().alloc_buffer((count * 8).max(1));
                     let vals: Vec<f64> = (0..count).map(|i| i as f64 + g).collect();
                     write_f64s(&input, 0, &vals);
                     cctx.intra().barrier();
                     cctx.allreduce_f64(&input, &flat, count);
                     cctx.allreduce_f64_node_aware(&input, &na, count);
-                    cctx.allreduce_f64_node_aware_fused(&input, &fused, count);
-                    (
-                        read_f64s(&flat, 0, count),
-                        read_f64s(&na, 0, count),
-                        read_f64s(&fused, 0, count),
-                    )
+                    (read_f64s(&flat, 0, count), read_f64s(&na, 0, count))
                 });
                 for ranks in &out {
-                    for (flat, na, fused) in ranks {
+                    for (flat, na) in ranks {
                         for i in 0..count {
                             let want = world * i as f64 + world * (world - 1.0) / 2.0;
                             assert_eq!(flat[i], want, "flat m={m} n={n} count={count}");
                             assert_eq!(na[i], want, "node-aware m={m} n={n} count={count}");
-                            assert_eq!(fused[i], want, "fused m={m} n={n} count={count}");
                         }
                     }
                 }
@@ -999,7 +955,7 @@ mod tests {
     fn node_aware_allreduce_sends_fewer_chunks() {
         let count = 8192usize; // 64 KiB payload, 16 KiB chunks => kt = 4
         let cluster = Cluster::with_geometry(2, 4, 16 * 1024, 2);
-        let run_one = |which: usize| {
+        let run_one = |node_aware: bool| {
             cluster.run(move |cctx| {
                 let g = cctx.global_rank() as f64;
                 let input = cctx.intra().alloc_buffer(count * 8);
@@ -1007,28 +963,24 @@ mod tests {
                 let vals: Vec<f64> = (0..count).map(|i| i as f64 + g).collect();
                 write_f64s(&input, 0, &vals);
                 cctx.intra().barrier();
-                match which {
-                    0 => cctx.allreduce_f64(&input, &output, count),
-                    1 => cctx.allreduce_f64_node_aware(&input, &output, count),
-                    _ => cctx.allreduce_f64_node_aware_fused(&input, &output, count),
+                if node_aware {
+                    cctx.allreduce_f64_node_aware(&input, &output, count)
+                } else {
+                    cctx.allreduce_f64(&input, &output, count)
                 }
                 read_f64s(&output, 0, count)
             })
         };
         let base = cluster.shared.fabric.total_chunks_sent();
-        let flat_out = run_one(0);
+        let flat_out = run_one(false);
         let flat = cluster.shared.fabric.total_chunks_sent() - base;
-        let na_out = run_one(1);
+        let na_out = run_one(true);
         let na = cluster.shared.fabric.total_chunks_sent() - base - flat;
-        let fused_out = run_one(2);
-        let fused = cluster.shared.fabric.total_chunks_sent() - base - flat - na;
         assert_eq!(flat_out, na_out, "node-aware result differs from flat");
-        assert_eq!(flat_out, fused_out, "fused result differs from flat");
         assert!(
             na < flat,
             "node-aware sent {na} chunks, flat ring sent {flat}"
         );
-        assert_eq!(na, fused, "fusion must not change the traffic volume");
         // m=2: each node sends its kt/m = 2-chunk segment once per stage.
         assert_eq!(na, 8, "unexpected node-aware chunk schedule");
     }

@@ -41,7 +41,9 @@ use bgp_shmem::proc::{ShmError, ShmSegment};
 use bgp_shmem::seqlock::{SeqLock, SeqWords};
 use bgp_shmem::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cluster::{chunks_of, pack_tag, unpack_tag, KIND_FULL, KIND_PARTIAL};
+use bgp_shmem::{MessageCounter, SharedRegion};
+
+use crate::netcore::{self, ColorNode, RingFlow};
 use crate::transport::{ChunkChannel, Fabric, RingDir, SlotStore};
 
 /// Environment variables that turn a re-exec of the current binary into a
@@ -404,151 +406,54 @@ impl ProcLayout {
 }
 
 // ---------------------------------------------------------------------------
-// Single-rank node runners (generic over the slot store)
+// One node's part of a job
 // ---------------------------------------------------------------------------
 
-/// One node's part of a cluster broadcast, single rank per node: the root
-/// injects `buf` into every outbound tree port; every other node receives
-/// on its root-facing port into `buf`, forwarding each chunk while the
-/// incoming slot is still on loan. Byte-for-byte the `n == 1` arm of
-/// [`crate::cluster::ClusterCtx::bcast`].
-pub fn node_bcast<S: SlotStore>(fabric: &Fabric<S>, v: usize, root: usize, buf: &mut [u8]) {
-    let chunk = fabric.chunk_bytes();
-    if v == root {
-        let outs = fabric.bcast_out(v, root);
-        for (k, off, clen) in chunks_of(buf.len(), chunk) {
-            for ch in &outs {
-                ch.send_with(k as u64, clen, |dst| {
-                    dst.copy_from_slice(&buf[off..off + clen])
-                });
+/// Node `v`'s part of job `kind` over `len` bytes: build the node's input
+/// from `seed`, run the network core's protocol (the single-color ring on
+/// `Plus`, or the tree relay), and return the node's result. The kernel
+/// calls and hop order are the thread cluster's, so allreduce results are
+/// bitwise identical to it.
+fn node_job<S: SlotStore>(
+    fabric: &Fabric<S>,
+    v: usize,
+    kind: u64,
+    root: usize,
+    len: usize,
+    seed: u64,
+) -> SharedRegion {
+    let buf = SharedRegion::new(len);
+    match kind {
+        JOB_BCAST => {
+            // SAFETY: `buf` is this process's own; nothing else touches it.
+            unsafe {
+                if v == root {
+                    buf.write(0, &bcast_pattern(seed, len));
+                }
+                netcore::run_relay(fabric, v, root, &buf, len);
             }
         }
-    } else {
-        let in_ch = fabric.bcast_in(v, root);
-        let outs = fabric.bcast_out(v, root);
-        for (k, off, clen) in chunks_of(buf.len(), chunk) {
-            let rs = in_ch.peek();
-            debug_assert_eq!(rs.tag(), k as u64);
-            rs.with_bytes(|bytes| buf[off..off + clen].copy_from_slice(bytes));
-            for ch in &outs {
-                let mut snd = ch.reserve(clen);
-                rs.with_bytes(|bytes| snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes)));
-                snd.publish(k as u64);
-            }
+        JOB_ALLREDUCE => {
+            // SAFETY: as above.
+            unsafe { buf.write(0, &allreduce_input(seed, v, len / 8)) };
+            // The node's one partial is its whole input, valid at once.
+            let (part, res) = (MessageCounter::new(), MessageCounter::new());
+            part.publish(len as u64);
+            let node = ColorNode {
+                acc: &buf,
+                c: 0,
+                part: &part,
+                base: 0,
+                res: &res,
+                bytes: len,
+                chunk: fabric.chunk_bytes(),
+            };
+            let mut flow = [RingFlow::new(fabric, v, RingDir::Plus, len)];
+            netcore::run_ring(fabric, v, &mut flow, &[node]);
         }
+        _ => unreachable!("job kind {kind} runs no collective"),
     }
-}
-
-/// One node's part of a cluster allreduce (sum of f64s), single rank per
-/// node: the single-color ring of
-/// [`crate::cluster::ClusterCtx::allreduce_f64`] (`n == 1` ⇒ one color on
-/// the `Plus` ring), with `data` as both the node's input and, on return,
-/// the global sum. Kernel calls and hop order match the in-process engine
-/// exactly, so the result is bitwise identical to the thread cluster's.
-pub fn node_allreduce_f64<S: SlotStore>(fabric: &Fabric<S>, v: usize, data: &mut [u8]) {
-    debug_assert!(data.len().is_multiple_of(8));
-    let m = fabric.n_nodes();
-    if m == 1 || data.is_empty() {
-        return; // the local partial is the result
-    }
-    let chunk = fabric.chunk_bytes();
-    let dir = RingDir::Plus; // color 0
-    let pos = fabric.ring_pos(v, dir);
-    let kt = data.len().div_ceil(chunk);
-    let sends_fulls = pos == m - 1 || pos != m - 2;
-    let (mut injected, mut combined, mut fulls_local, mut fulls_sent) = (0, 0, 0, 0);
-    let total = data.len();
-    let clen_of = move |k: usize| (total - k * chunk).min(chunk);
-    let out = fabric.ring_send(v, dir);
-    let in_ch = fabric.ring_recv(v, dir);
-
-    loop {
-        let mut progressed = false;
-
-        if pos == 0 {
-            while injected < kt && out.can_send() {
-                let (k, off, clen) = (injected, injected * chunk, clen_of(injected));
-                let ok = out.try_send_with(pack_tag(0, KIND_PARTIAL, k), clen, |dst| {
-                    dst.copy_from_slice(&data[off..off + clen])
-                });
-                debug_assert!(ok, "can_send held and we are the sole producer");
-                injected += 1;
-                progressed = true;
-            }
-        }
-        if pos == m - 1 {
-            while fulls_sent < fulls_local && out.can_send() {
-                let (k, off, clen) = (fulls_sent, fulls_sent * chunk, clen_of(fulls_sent));
-                let ok = out.try_send_with(pack_tag(0, KIND_FULL, k), clen, |dst| {
-                    dst.copy_from_slice(&data[off..off + clen])
-                });
-                debug_assert!(ok);
-                fulls_sent += 1;
-                progressed = true;
-            }
-        }
-
-        while let Some(tag) = in_ch.peek_tag() {
-            let (c, kind, k) = unpack_tag(tag);
-            debug_assert_eq!(c, 0);
-            let clen = clen_of(k);
-            let off = k * chunk;
-            if kind == KIND_PARTIAL {
-                debug_assert!(pos > 0);
-                debug_assert_eq!(k, combined, "partials must arrive in order");
-                if pos < m - 1 && !out.can_send() {
-                    break;
-                }
-                let rs = in_ch.peek();
-                if pos < m - 1 {
-                    // Fused combine straight into the outgoing slot — the
-                    // same kernel call as the in-process ring.
-                    let mut snd = out.reserve(clen);
-                    rs.with_bytes(|inb| {
-                        snd.with_bytes_mut(|dst| {
-                            crate::kernels::add_bytes_into(dst, &data[off..off + clen], inb)
-                        })
-                    });
-                    snd.publish(pack_tag(0, KIND_PARTIAL, k));
-                } else {
-                    rs.with_bytes(|inb| {
-                        crate::kernels::add_bytes_assign(&mut data[off..off + clen], inb)
-                    });
-                    fulls_local += 1;
-                }
-                combined += 1;
-                progressed = true;
-            } else {
-                debug_assert!(pos < m - 1, "the originator never receives fulls");
-                debug_assert_eq!(k, fulls_local, "fulls must arrive in order");
-                let forwards = sends_fulls;
-                if forwards && !out.can_send() {
-                    break;
-                }
-                let rs = in_ch.peek();
-                rs.with_bytes(|bytes| data[off..off + clen].copy_from_slice(bytes));
-                fulls_local += 1;
-                if forwards {
-                    let mut snd = out.reserve(clen);
-                    rs.with_bytes(|bytes| snd.with_bytes_mut(|dst| dst.copy_from_slice(bytes)));
-                    snd.publish(pack_tag(0, KIND_FULL, k));
-                    fulls_sent += 1;
-                }
-                progressed = true;
-            }
-        }
-
-        let finished = fulls_local == kt
-            && injected == if pos == 0 { kt } else { 0 }
-            && combined == if pos > 0 { kt } else { 0 }
-            && fulls_sent == if sends_fulls { kt } else { 0 };
-        if finished {
-            break;
-        }
-        if !progressed {
-            bgp_shmem::spin();
-        }
-    }
+    buf
 }
 
 // ---------------------------------------------------------------------------
@@ -645,6 +550,8 @@ unsafe fn result_ptr(seg: &ShmSegment, l: &ProcLayout, v: usize) -> *mut u8 {
     seg.payload_ptr().add(l.result_off(v))
 }
 
+/// Node `v`'s part of `job`: run it, write the result to `v`'s result
+/// region, and publish `v`'s status. Workers and the parent (node 0) alike.
 fn run_job(
     fabric: &Fabric<ProcSlots>,
     seg: &Arc<ShmSegment>,
@@ -655,27 +562,11 @@ fn run_job(
     let (kind, root, len, seed) = (job[1], job[2] as usize, job[3] as usize, job[4]);
     // SAFETY: node v writes only its own region; see `result_ptr`.
     let region = unsafe { std::slice::from_raw_parts_mut(result_ptr(seg, l, v), l.max_msg) };
-    let out_len = match kind {
-        JOB_BCAST => {
-            let mut buf = if v == root {
-                bcast_pattern(seed, len)
-            } else {
-                vec![0u8; len]
-            };
-            node_bcast(fabric, v, root, &mut buf);
-            region[..len].copy_from_slice(&buf);
-            len
-        }
-        JOB_ALLREDUCE => {
-            let mut buf = allreduce_input(seed, v, len / 8);
-            node_allreduce_f64(fabric, v, &mut buf);
-            region[..len].copy_from_slice(&buf);
-            len
-        }
-        _ => 0,
-    };
+    let out = node_job(fabric, v, kind, root, len, seed);
+    // SAFETY: `out` is this process's own and the collective finished.
+    unsafe { out.read(0, &mut region[..len]) };
     let status = RecWords::at(seg, l.status_off(v));
-    status.publish(&[job[0], 0, checksum(&region[..out_len]), 0, 0]);
+    status.publish(&[job[0], 0, checksum(&region[..len]), 0, 0]);
 }
 
 /// Worker-process entry hook. **Call this first in `main`** of any binary
@@ -908,31 +799,31 @@ impl ProcCluster {
     /// segment's result regions.
     pub fn bcast(&mut self, root: usize, seed: u64, len: usize) -> Result<Vec<Vec<u8>>, ProcError> {
         assert!(root < self.layout.m, "root out of range");
-        self.check_usable(len)?;
-        let job = self.publish_job(JOB_BCAST, root as u64, len as u64, seed);
-        // Participate as node 0.
-        let mut buf = if root == 0 {
-            bcast_pattern(seed, len)
-        } else {
-            vec![0u8; len]
-        };
-        node_bcast(&self.fabric, 0, root, &mut buf);
-        self.finish_own(job, &buf);
-        self.gather(job)?;
-        Ok(self.collect_results(len))
+        self.run(JOB_BCAST, root, len, seed)
     }
 
     /// Cluster allreduce over `count` doubles: node `v` contributes
     /// [`allreduce_input`]`(seed, v, count)`. Returns each node's result
     /// bytes (all identical on success), in node order.
     pub fn allreduce(&mut self, seed: u64, count: usize) -> Result<Vec<Vec<u8>>, ProcError> {
-        self.check_usable(count * 8)?;
-        let job = self.publish_job(JOB_ALLREDUCE, 0, (count * 8) as u64, seed);
-        let mut buf = allreduce_input(seed, 0, count);
-        node_allreduce_f64(&self.fabric, 0, &mut buf);
-        self.finish_own(job, &buf);
+        self.run(JOB_ALLREDUCE, 0, count * 8, seed)
+    }
+
+    /// Publish a collective job, participate as node 0, and gather every
+    /// node's result.
+    fn run(
+        &mut self,
+        kind: u64,
+        root: usize,
+        len: usize,
+        seed: u64,
+    ) -> Result<Vec<Vec<u8>>, ProcError> {
+        self.check_usable(len)?;
+        let job = self.publish_job(kind, root as u64, len as u64, seed);
+        let rec = [job, kind, root as u64, len as u64, seed];
+        run_job(&self.fabric, &self.seg, &self.layout, 0, &rec);
         self.gather(job)?;
-        Ok(self.collect_results(count * 8))
+        Ok(self.collect_results(len))
     }
 
     /// Crash injection (tests): direct the worker for `node` to exit
@@ -944,19 +835,6 @@ impl ProcCluster {
         let status = RecWords::at(&self.seg, self.layout.status_off(0));
         status.publish(&[job, 0, 0, 0, 0]);
         self.gather(job)
-    }
-
-    fn finish_own(&self, job: u64, out: &[u8]) {
-        // SAFETY: node 0's own region; ordered by the status publish.
-        let region = unsafe {
-            std::slice::from_raw_parts_mut(
-                result_ptr(&self.seg, &self.layout, 0),
-                self.layout.max_msg,
-            )
-        };
-        region[..out.len()].copy_from_slice(out);
-        let status = RecWords::at(&self.seg, self.layout.status_off(0));
-        status.publish(&[job, 0, checksum(out), 0, 0]);
     }
 
     fn collect_results(&self, len: usize) -> Vec<Vec<u8>> {

@@ -6,8 +6,8 @@
 //!   reference — no inter-node fabric at all;
 //! * the **thread-cluster flat ring** (`allreduce_f64`, §V-C) is the
 //!   pre-PR baseline;
-//! * the **node-aware family** (`allreduce_f64_node_aware`, the fused
-//!   hybrid, `reduce_scatter_f64`, `allgather`, `alltoall`) is the new
+//! * the **node-aware family** (`allreduce_f64_node_aware`,
+//!   `reduce_scatter_f64`, `allgather`, `alltoall`) is the new
 //!   path, which must be byte-identical for order-insensitive inputs while
 //!   sending strictly fewer inter-node chunks;
 //! * the **simulator** (`bgp_mpi`) models the same decomposition; its
@@ -34,25 +34,26 @@ fn chunks_sent(cluster: &Cluster) -> usize {
     cluster.run(|cctx: &mut ClusterCtx| cctx.fabric().total_chunks_sent())[0][0]
 }
 
-/// Run one allreduce variant on every rank; returns `[node][rank]` outputs.
-fn run_allreduce(cluster: &Cluster, count: usize, which: usize) -> Vec<Vec<Vec<f64>>> {
+/// Run the flat or the node-aware allreduce on every rank; returns
+/// `[node][rank]` outputs.
+fn run_allreduce(cluster: &Cluster, count: usize, node_aware: bool) -> Vec<Vec<Vec<f64>>> {
     cluster.run(move |cctx: &mut ClusterCtx| {
         let g = cctx.global_rank();
         let input = cctx.intra().alloc_buffer((count * 8).max(1));
         let output = cctx.intra().alloc_buffer((count * 8).max(1));
         write_f64s(&input, 0, &vals_for(g, count));
         cctx.intra().barrier();
-        match which {
-            0 => cctx.allreduce_f64(&input, &output, count),
-            1 => cctx.allreduce_f64_node_aware(&input, &output, count),
-            _ => cctx.allreduce_f64_node_aware_fused(&input, &output, count),
+        if node_aware {
+            cctx.allreduce_f64_node_aware(&input, &output, count)
+        } else {
+            cctx.allreduce_f64(&input, &output, count)
         }
         read_f64s(&output, 0, count)
     })
 }
 
 #[test]
-fn allreduce_matrix_flat_node_aware_fused_and_reference_agree() {
+fn allreduce_matrix_flat_node_aware_and_reference_agree() {
     // The reference: all G ranks on one node — no fabric, pure shared
     // memory. Every multi-node schedule must reproduce its bytes exactly.
     for (m, n) in [(2usize, 4usize), (3, 2), (4, 2)] {
@@ -60,12 +61,11 @@ fn allreduce_matrix_flat_node_aware_fused_and_reference_agree() {
         let reference = Cluster::with_geometry(1, world, 16 * 1024, 4);
         let cluster = Cluster::with_geometry(m, n, 16 * 1024, 4);
         for count in [1usize, 2047, 2048, 2049, stress_iters(131_072)] {
-            let want = run_allreduce(&reference, count, 0);
-            let flat = run_allreduce(&cluster, count, 0);
-            let na = run_allreduce(&cluster, count, 1);
-            let fused = run_allreduce(&cluster, count, 2);
+            let want = run_allreduce(&reference, count, false);
+            let flat = run_allreduce(&cluster, count, false);
+            let na = run_allreduce(&cluster, count, true);
             let expect = &want[0][0];
-            for out in [&flat, &na, &fused] {
+            for out in [&flat, &na] {
                 for ranks in out.iter() {
                     for got in ranks {
                         assert_eq!(
@@ -91,9 +91,9 @@ fn node_aware_sends_fewer_inter_node_chunks_than_flat() {
         let cluster = Cluster::with_geometry(m, n, 16 * 1024, 2);
         let count = 8192; // 64 KiB payload => kt = 4 chunks
         let base = chunks_sent(&cluster);
-        let flat_out = run_allreduce(&cluster, count, 0);
+        let flat_out = run_allreduce(&cluster, count, false);
         let flat = chunks_sent(&cluster) - base;
-        let na_out = run_allreduce(&cluster, count, 1);
+        let na_out = run_allreduce(&cluster, count, true);
         let na = chunks_sent(&cluster) - base - flat;
         assert_eq!(flat_out, na_out, "({m},{n}): results must match");
         assert!(
@@ -132,7 +132,7 @@ fn reduce_scatter_then_allgather_equals_allreduce() {
             cctx.allgather(&slice, &gathered, (hi - lo) * 8);
             read_f64s(&gathered, 0, count)
         });
-        let direct = run_allreduce(&cluster, count, 1);
+        let direct = run_allreduce(&cluster, count, true);
         let expect = &direct[0][0];
         for ranks in &composed {
             for got in ranks {
@@ -193,11 +193,9 @@ fn degenerate_counts_terminate_and_stay_byte_identical() {
         let world = m * n;
         let cluster = Cluster::with_geometry(m, n, 64, 2);
         for count in [0usize, 1, world.saturating_sub(1)] {
-            let flat = run_allreduce(&cluster, count, 0);
-            let na = run_allreduce(&cluster, count, 1);
-            let fused = run_allreduce(&cluster, count, 2);
+            let flat = run_allreduce(&cluster, count, false);
+            let na = run_allreduce(&cluster, count, true);
             assert_eq!(flat, na, "({m},{n}) count={count}");
-            assert_eq!(flat, fused, "({m},{n}) count={count}");
             let wf = world as f64;
             for (i, &v) in flat[0][0].iter().enumerate() {
                 let want: f64 = (0..world).map(|g| ((i * 7 + g * 3) % 1000) as f64).sum();
