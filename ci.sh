@@ -46,6 +46,12 @@ echo "== tier-1: cargo build --release && cargo test -q --workspace (full stress
 cargo build --release
 BGP_STRESS_FULL=1 cargo test -q --workspace
 
+# The benchmark crate sits outside the workspace; its tests build it
+# against the current crate APIs, so an API change that breaks the
+# benchmark fails here.
+echo "== perfbench: cargo test (benchmark crate against the current APIs)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== model checker self-tests (bgp-check)"
 cargo test -q -p bgp-check
 

@@ -20,8 +20,8 @@
 //!
 //! The network side of every op is `bgp_smp::netcore` — the code the
 //! blocking cluster collectives and the process worker run too. The engine
-//! holds one [`RingFlow`] or [`TreeRelay`] per in-flight op, demultiplexes
-//! link chunks to them by op id, and tags their chunks per op
+//! holds one [`RingFlow`], [`SegRing`] or [`TreeRelay`] per in-flight op,
+//! demultiplexes link chunks to them by op id, and tags their chunks per op
 //! ([`optag`]).
 //!
 //! **ibcast** — the root exposes its buffer; the engine on the root node
@@ -46,9 +46,14 @@
 //! *input* must be reusable, and co-members read it during the local
 //! reduce).
 //!
+//! **iallgather** — members deposit their blocks into their node's segment
+//! of an engine-owned accumulator; once all have, the op's segment ring
+//! (allgather steps only, direction by op parity) circulates the node
+//! blocks, and members chase the result counter into their outputs.
+//!
 //! ## Progress, parking, and deadlock-freedom
 //!
-//! The flows and relays never block and gate only allreduce partials, on
+//! Flows, segment rings and relays never block and gate only partials, on
 //! node-local progress (see `bgp_smp::netcore` for the argument), which
 //! member polls guarantee. What the engine adds is op demultiplexing:
 //! chunks that arrive for an op this node has not posted yet (a faster peer
@@ -61,7 +66,7 @@ use std::sync::Arc;
 
 use bgp_shmem::{spin, MessageCounter, SharedRegion};
 use bgp_smp::kernels;
-use bgp_smp::netcore::{chunk_at, Kind, RingFlow, RingNode, TreeRelay};
+use bgp_smp::netcore::{chunk_at, Kind, RingFlow, RingNode, SegNode, SegRing, TreeRelay};
 use bgp_smp::transport::{optag, ChunkChannel, Fabric, RingDir};
 use bgp_smp::{ClusterCtx, NodeShared};
 
@@ -130,13 +135,39 @@ pub fn validate_group_shape(group: &[usize], n_ranks: usize) -> Result<(), Sched
     Ok(())
 }
 
-/// The ring-flow kind of an allreduce chunk's link-tag kind.
+/// The ring kind of a ring chunk's link-tag kind, and back.
 fn ring_kind(kind: u64) -> Kind {
     match kind {
         optag::KIND_PARTIAL => Kind::Partial,
         optag::KIND_FULL => Kind::Full,
         _ => unreachable!("unknown chunk kind {kind}"),
     }
+}
+
+fn op_kind(kind: Kind) -> u64 {
+    match kind {
+        Kind::Partial => optag::KIND_PARTIAL,
+        Kind::Full => optag::KIND_FULL,
+    }
+}
+
+/// An op's ring direction alternates with op parity, so consecutive ops
+/// use both torus links (the multi-color idea of §V-C, per op instead of
+/// per color).
+fn op_dir(op: u64) -> RingDir {
+    if op.is_multiple_of(2) {
+        RingDir::Plus
+    } else {
+        RingDir::Minus
+    }
+}
+
+/// The per-member partial (or deposit) streams of an op with `g` members.
+fn part_counters(shared: &NodeShared, op: u64, g: usize) -> Vec<Arc<MessageCounter>> {
+    let bank = shared.sched_bank();
+    (0..g)
+        .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
+        .collect()
 }
 
 /// Handle of one posted nonblocking operation. `Copy`, cheap, and only
@@ -240,8 +271,8 @@ struct AgMember {
     acc: Option<Arc<SharedRegion>>,
     in_ptr: usize,
     out_ptr: usize,
-    /// This member's deposit stream (engine gates its node's superblock
-    /// sends on all local deposits).
+    /// This member's deposit stream (the engine sends its node's block
+    /// once every local member deposited).
     part: Arc<MessageCounter>,
     res: Arc<MessageCounter>,
     done: Arc<MessageCounter>,
@@ -265,13 +296,13 @@ struct NetBcast {
 }
 
 /// The network side of one allreduce on this node: its ring flow and the
-/// node-local side the flow runs against.
+/// node-local side the flow runs against; retired once all `g` members
+/// counted themselves done.
 struct NetAr {
     flow: RingFlow,
     node: ArNode,
     g: usize,
     done: Arc<MessageCounter>,
-    expected_done: u64,
 }
 
 /// An allreduce's node-local side: the accumulator the members reduce
@@ -302,11 +333,7 @@ unsafe impl RingNode for ArNode {
     }
 
     fn tag(&self, kind: Kind, k: usize) -> u64 {
-        let kind = match kind {
-            Kind::Partial => optag::KIND_PARTIAL,
-            Kind::Full => optag::KIND_FULL,
-        };
-        optag::pack(self.op, kind, k)
+        optag::pack(self.op, op_kind(kind), k)
     }
 
     fn landed(&self, len: usize) {
@@ -314,58 +341,50 @@ unsafe impl RingNode for ArNode {
     }
 }
 
-/// The network side of one allgather on this node: a ring allgather of
-/// node "superblocks" (the `g` contiguous member blocks a node
-/// contributes, `g*len` bytes node-major in the accumulator). At step
-/// `s ∈ 1..m` a node sends the superblock it received at step `s-1` (its
-/// own at `s = 1`) and receives the superblock originating `s` hops
-/// upstream — `m-1` steps, each superblock traversing `m-1` links total.
-struct NetAg {
-    len: usize,
-    g: usize,
-    /// Superblock bytes (`g * len`) and chunks per superblock.
-    sb: usize,
-    kb: usize,
-    dir: RingDir,
+/// An allgather's node-local side: the accumulator members deposit their
+/// blocks into (node-major) and the result stream they copy out by.
+struct AgNode {
+    op: u64,
+    len: u64,
     acc: Arc<SharedRegion>,
     parts: Vec<Arc<MessageCounter>>,
     res: Arc<MessageCounter>,
-    done: Arc<MessageCounter>,
-    expected_done: u64,
-    /// Superblock (by origin node) fully valid in the accumulator.
-    have: Vec<bool>,
-    /// Completed send steps and chunks sent within the current step.
-    sent_steps: usize,
-    sent_chunks: usize,
-    /// Total chunks received (the per-link `k` sequence).
-    recv_chunks: usize,
-    /// Next superblock (node-major) awaiting prefix publication on `res`.
-    next_pub: usize,
 }
 
-impl NetAg {
-    /// Origin node of the superblock arriving `s` hops upstream of `node`.
-    fn upstream(&self, node: usize, m: usize, s: usize) -> usize {
-        match self.dir {
-            RingDir::Plus => (node + m - s % m) % m,
-            RingDir::Minus => (node + s) % m,
-        }
+// SAFETY: each member deposits its block into this node's segment once,
+// before publishing `len` on its stream, and never writes again this op;
+// members read the accumulator only up to the prefix published on `res`.
+unsafe impl SegNode for AgNode {
+    fn acc(&self) -> &SharedRegion {
+        &self.acc
     }
 
-    /// Have all local members deposited their blocks?
-    fn local_ready(&self) -> bool {
-        self.parts.iter().all(|c| c.read() >= self.len as u64)
+    fn ready(&self) -> bool {
+        self.parts.iter().all(|c| c.read() >= self.len)
     }
 
-    fn flow_finished(&self, m: usize) -> bool {
-        self.next_pub == m && self.sent_steps == m - 1 && self.recv_chunks == (m - 1) * self.kb
+    fn tag(&self, kind: Kind, _seg: usize, j: usize) -> u64 {
+        optag::pack(self.op, op_kind(kind), j)
     }
+
+    fn landed(&self, len: usize) {
+        self.res.publish(len as u64);
+    }
+}
+
+/// The network side of one allgather on this node: a segment ring of
+/// allgather steps over the node blocks, retired like [`NetAr`].
+struct NetGather {
+    ring: SegRing,
+    node: AgNode,
+    g: usize,
+    done: Arc<MessageCounter>,
 }
 
 enum NetOp {
     Bcast(NetBcast),
     Ar(Box<NetAr>),
-    Ag(Box<NetAg>),
+    Ag(Box<NetGather>),
 }
 
 /// The per-node progress engine, run by rank 0 (the network core).
@@ -459,14 +478,6 @@ impl Engine {
         self.shared
             .registry()
             .expose(0, reg_tag(op, ROLE_STAGE), acc.clone());
-        // Alternate ring direction with op parity: consecutive ops use both
-        // torus links (the multi-color idea of §V-C, per op instead of per
-        // color).
-        let dir = if op.is_multiple_of(2) {
-            RingDir::Plus
-        } else {
-            RingDir::Minus
-        };
         let mut owner = vec![0usize; kt];
         let mut need = vec![0u64; kt];
         for i in 0..g {
@@ -481,58 +492,41 @@ impl Engine {
         self.ops.insert(
             op,
             NetOp::Ar(Box::new(NetAr {
-                flow: RingFlow::new(&self.fabric, self.node, dir, count * 8),
+                flow: RingFlow::new(&self.fabric, self.node, op_dir(op), count * 8),
                 node: ArNode {
                     op,
                     acc,
                     owner,
                     need,
-                    parts: (0..g)
-                        .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
-                        .collect(),
+                    parts: part_counters(&self.shared, op, g),
                     res: bank.counter(bank_key(op, SUB_RES)),
                 },
                 g,
                 done: bank.counter(bank_key(op, SUB_DONE)),
-                expected_done: g as u64,
             })),
         );
     }
 
-    fn register_ag(&mut self, op: u64, group_len: usize, len: usize) {
+    fn register_ag(&mut self, op: u64, g: usize, len: usize) {
         let bank = self.shared.sched_bank();
-        let g = group_len;
-        let sb = g * len;
-        let kb = sb.div_ceil(self.chunk);
-        let acc = Arc::new(SharedRegion::new(self.m * sb));
+        let acc = Arc::new(SharedRegion::new(self.m * g * len));
         self.shared
             .registry()
             .expose(0, reg_tag(op, ROLE_STAGE), acc.clone());
-        let dir = if op.is_multiple_of(2) {
-            RingDir::Plus
-        } else {
-            RingDir::Minus
-        };
+        let bounds = (0..=self.m).map(|w| w * g * len).collect();
         self.ops.insert(
             op,
-            NetOp::Ag(Box::new(NetAg {
-                len,
+            NetOp::Ag(Box::new(NetGather {
+                ring: SegRing::new(&self.fabric, self.node, op_dir(op), bounds, false, true),
+                node: AgNode {
+                    op,
+                    len: len as u64,
+                    acc,
+                    parts: part_counters(&self.shared, op, g),
+                    res: bank.counter(bank_key(op, SUB_RES)),
+                },
                 g,
-                sb,
-                kb,
-                dir,
-                acc,
-                parts: (0..g)
-                    .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
-                    .collect(),
-                res: bank.counter(bank_key(op, SUB_RES)),
                 done: bank.counter(bank_key(op, SUB_DONE)),
-                expected_done: g as u64,
-                have: vec![false; self.m],
-                sent_steps: 0,
-                sent_chunks: 0,
-                recv_chunks: 0,
-                next_pub: 0,
             })),
         );
     }
@@ -543,14 +537,12 @@ impl Engine {
         match netop {
             // Broadcast data lands in the preallocated stage: always.
             NetOp::Bcast(_) => true,
-            // Allgather superblocks land in the preallocated accumulator.
-            NetOp::Ag(_) => true,
             NetOp::Ar(a) => a.flow.can_accept(fabric, ring_kind(kind), k, &a.node),
+            NetOp::Ag(a) => a.ring.can_accept(ring_kind(kind), &a.node),
         }
     }
 
     /// Consume one chunk for `netop`. Must be guarded by [`Self::can_accept`].
-    #[allow(clippy::too_many_arguments)]
     fn consume(
         netop: &mut NetOp,
         op: u64,
@@ -559,8 +551,6 @@ impl Engine {
         bytes: &[u8],
         fabric: &Fabric,
         node: usize,
-        m: usize,
-        chunk: usize,
     ) {
         match netop {
             NetOp::Bcast(b) => {
@@ -582,24 +572,8 @@ impl Engine {
                     .expect("only non-root nodes receive")
                     .publish(bytes.len() as u64);
             }
-            NetOp::Ag(a) => {
-                debug_assert_eq!(kind, optag::KIND_DATA);
-                debug_assert_eq!(k, a.recv_chunks, "allgather chunks arrive in order");
-                let s = k / a.kb + 1;
-                let c = k % a.kb;
-                let u = a.upstream(node, m, s);
-                let (off, clen) = chunk_at(a.sb, chunk, c);
-                debug_assert_eq!(clen, bytes.len());
-                // SAFETY: the engine is the unique writer of remote
-                // superblocks; member reads are gated on the prefix
-                // publication of `res` in the outbound pass.
-                unsafe { a.acc.write(u * a.sb + off, bytes) };
-                a.recv_chunks += 1;
-                if c == a.kb - 1 {
-                    a.have[u] = true;
-                }
-            }
             NetOp::Ar(a) => a.flow.consume(fabric, ring_kind(kind), k, bytes, &a.node),
+            NetOp::Ag(a) => a.ring.consume(ring_kind(kind), k, bytes, &a.node),
         }
     }
 
@@ -609,7 +583,7 @@ impl Engine {
         let fabric = self.fabric.clone();
         let shared = self.shared.clone();
         let registry = shared.registry();
-        let (node, m, chunk) = (self.node, self.m, self.chunk);
+        let (node, m) = (self.node, self.m);
 
         // Resolve broadcast sources whose co-located root posted after us.
         for (op, netop) in self.ops.iter_mut() {
@@ -638,7 +612,7 @@ impl Engine {
                         break;
                     }
                     let (_, bytes) = stash.pop_front(*op).expect("front_tag was Some");
-                    Self::consume(netop, o, kind, k, &bytes, &fabric, node, m, chunk);
+                    Self::consume(netop, o, kind, k, &bytes, &fabric, node);
                 }
             }
             stashed_ops.extend(stash.parked_ops());
@@ -653,7 +627,7 @@ impl Engine {
                         ports.push(fabric.bcast_in(node, b.root_node));
                     }
                     NetOp::Ar(a) => ports.push(fabric.ring_recv(node, a.flow.dir())),
-                    NetOp::Ag(a) => ports.push(fabric.ring_recv(node, a.dir)),
+                    NetOp::Ag(a) => ports.push(fabric.ring_recv(node, a.ring.dir())),
                     _ => {}
                 }
             }
@@ -685,7 +659,7 @@ impl Engine {
                     break;
                 }
                 port.recv_with(|_, bytes| {
-                    Self::consume(netop, op, kind, k, bytes, &fabric, node, m, chunk);
+                    Self::consume(netop, op, kind, k, bytes, &fabric, node);
                 });
             }
         }
@@ -712,45 +686,7 @@ impl Engine {
                     a.flow.push(&fabric, &a.node);
                 }
                 NetOp::Ag(a) => {
-                    if !a.have[node] && a.local_ready() {
-                        a.have[node] = true;
-                    }
-                    if m > 1 {
-                        let out = fabric.ring_send(node, a.dir);
-                        while a.sent_steps < m - 1 {
-                            let s = a.sent_steps + 1;
-                            // Step s forwards the superblock received at
-                            // step s-1 (the node's own at s == 1).
-                            let u = a.upstream(node, m, s - 1);
-                            if !a.have[u] {
-                                break;
-                            }
-                            while a.sent_chunks < a.kb && out.can_send() {
-                                let c = a.sent_chunks;
-                                let (off, clen) = chunk_at(a.sb, chunk, c);
-                                out.send_with(
-                                    optag::pack(*op, optag::KIND_DATA, (s - 1) * a.kb + c),
-                                    clen,
-                                    // SAFETY: the superblock is valid — own
-                                    // blocks by `local_ready`, remote ones
-                                    // received in full (`have`).
-                                    |d| unsafe { a.acc.read(u * a.sb + off, d) },
-                                );
-                                a.sent_chunks += 1;
-                            }
-                            if a.sent_chunks < a.kb {
-                                break;
-                            }
-                            a.sent_steps += 1;
-                            a.sent_chunks = 0;
-                        }
-                    }
-                    // Members chase a node-major byte prefix of the
-                    // accumulator; publish superblocks in that order.
-                    while a.next_pub < m && a.have[a.next_pub] {
-                        a.res.publish(a.sb as u64);
-                        a.next_pub += 1;
-                    }
+                    a.ring.push(&fabric, &a.node);
                 }
             }
         }
@@ -765,13 +701,13 @@ impl Engine {
             .iter()
             .filter(|(_, netop)| match netop {
                 NetOp::Bcast(b) => b.netdone_published && b.done.read() >= b.expected_done,
-                NetOp::Ar(a) => a.flow.finished() && a.done.read() >= a.expected_done,
-                NetOp::Ag(a) => a.flow_finished(m) && a.done.read() >= a.expected_done,
+                NetOp::Ar(a) => a.flow.finished() && a.done.read() >= a.g as u64,
+                NetOp::Ag(a) => a.ring.finished() && a.done.read() >= a.g as u64,
             })
             .map(|(op, _)| *op)
             .collect();
         for op in finished {
-            match self.ops.remove(&op).expect("listed above") {
+            let g = match self.ops.remove(&op).expect("listed above") {
                 NetOp::Bcast(b) => {
                     if !b.is_root_node {
                         registry.unexpose(0, reg_tag(op, ROLE_STAGE));
@@ -779,23 +715,16 @@ impl Engine {
                     }
                     bank.retire(bank_key(op, SUB_NETDONE));
                     bank.retire(bank_key(op, SUB_DONE));
+                    continue;
                 }
-                NetOp::Ar(a) => {
-                    registry.unexpose(0, reg_tag(op, ROLE_STAGE));
-                    bank.retire(bank_key(op, SUB_RES));
-                    bank.retire(bank_key(op, SUB_DONE));
-                    for i in 0..a.g {
-                        bank.retire(bank_key(op, SUB_PART + i as u64));
-                    }
-                }
-                NetOp::Ag(a) => {
-                    registry.unexpose(0, reg_tag(op, ROLE_STAGE));
-                    bank.retire(bank_key(op, SUB_RES));
-                    bank.retire(bank_key(op, SUB_DONE));
-                    for i in 0..a.g {
-                        bank.retire(bank_key(op, SUB_PART + i as u64));
-                    }
-                }
+                NetOp::Ar(a) => a.g,
+                NetOp::Ag(a) => a.g,
+            };
+            registry.unexpose(0, reg_tag(op, ROLE_STAGE));
+            bank.retire(bank_key(op, SUB_RES));
+            bank.retire(bank_key(op, SUB_DONE));
+            for i in 0..g {
+                bank.retire(bank_key(op, SUB_PART + i as u64));
             }
         }
     }
@@ -1113,9 +1042,7 @@ impl Sched {
                 res_hi,
                 in_ptr,
                 out_ptr,
-                parts: (0..g)
-                    .map(|i| bank.counter(bank_key(op, SUB_PART + i as u64)))
-                    .collect(),
+                parts: part_counters(&self.shared, op, g),
                 part_total,
                 res: bank.counter(bank_key(op, SUB_RES)),
                 done: bank.counter(bank_key(op, SUB_DONE)),
@@ -1140,7 +1067,7 @@ impl Sched {
     /// in `group` on every node: each member contributes its input block
     /// and every member's output receives all `m * group_len` blocks
     /// concatenated in global member order (`node * group_len +
-    /// index_in_group`). Runs a ring allgather of node superblocks on the
+    /// index_in_group`). Runs a segment ring of node blocks on the
     /// progress engine, interleaved with every other in-flight op.
     /// Members pass input (`len` bytes) and output (`m * group_len * len`
     /// bytes) regions; non-members pass `None`. Inputs must be final

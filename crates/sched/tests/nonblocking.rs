@@ -414,7 +414,7 @@ fn ireduce_scatter_handles_empty_spans() {
 #[test]
 fn iallgather_gathers_in_global_member_order() {
     let cluster = Cluster::new(2, 4);
-    let len = 20_000; // multi-chunk superblocks at the default 16 KiB
+    let len = 20_000; // multi-chunk node blocks at the default 16 KiB
     let results = cluster.run(move |cctx| {
         let input = Arc::new(SharedRegion::new(len));
         // SAFETY: fresh region.
@@ -434,6 +434,55 @@ fn iallgather_gathers_in_global_member_order() {
     for node in &results {
         for got in node {
             assert_eq!(*got, expect);
+        }
+    }
+
+    // At m >= 3 middle nodes forward blocks they received. Two allgathers
+    // back to back have op ids of both parities, so both ring directions
+    // run.
+    for (m, n) in [(3usize, 1usize), (3, 2), (4, 2)] {
+        let cluster = Cluster::with_geometry(m, n, 256, 2);
+        let world = m * n;
+        let group: Vec<usize> = (0..n).collect();
+        for len in [1usize, 255, 257, 1001] {
+            let group = group.clone();
+            let results = cluster.run(move |cctx| {
+                let gi = cctx.global_rank() as u8;
+                let ins: Vec<_> = (0..2u8)
+                    .map(|i| {
+                        let input = Arc::new(SharedRegion::new(len));
+                        // SAFETY: fresh region.
+                        unsafe { input.write(0, &pattern(gi.wrapping_add(100 * i), len)) };
+                        input
+                    })
+                    .collect();
+                let outs: Vec<_> = (0..2)
+                    .map(|_| Arc::new(SharedRegion::new(world * len)))
+                    .collect();
+                let mut sched = Sched::new(cctx);
+                let reqs: Vec<_> = (0..2)
+                    .map(|i| {
+                        sched
+                            .iallgather(&group, Some(&ins[i]), Some(&outs[i]), len)
+                            .unwrap()
+                    })
+                    .collect();
+                sched.wait_all(&reqs);
+                outs.iter()
+                    .map(|o| read_bytes(o, world * len))
+                    .collect::<Vec<_>>()
+            });
+            for node in &results {
+                for got in node {
+                    for (i, out) in got.iter().enumerate() {
+                        let mut expect = Vec::new();
+                        for gi in 0..world as u8 {
+                            expect.extend_from_slice(&pattern(gi.wrapping_add(100 * i as u8), len));
+                        }
+                        assert_eq!(*out, expect, "({m},{n}) len {len} op {i}");
+                    }
+                }
+            }
         }
     }
 }

@@ -1,11 +1,13 @@
-//! The network core's protocol, written once: the §V-C partial/full ring
-//! flow of the multi-color allreduce ([`RingFlow`]) and the §V-A/V-B tree
-//! relay of the broadcast ([`TreeRelay`]). Three drivers run it: the
-//! blocking [`ClusterCtx`](crate::ClusterCtx) collectives (a flow per
-//! color; the relay on single-rank nodes and at the root), the `bgp-sched`
-//! progress engine (a flow or relay per in-flight op, demultiplexed by op
-//! id), and the [`crate::proc`] worker. A driver supplies links, tags,
-//! local readiness and result publication ([`RingNode`]).
+//! The network core's protocols, written once: the §V-C partial/full ring
+//! flow of the multi-color allreduce ([`RingFlow`]), the segment ring of
+//! the node-aware reduce-scatter and allgather stages ([`SegRing`]), and
+//! the §V-A/V-B tree relay of the broadcast ([`TreeRelay`]). Three drivers
+//! run them: the blocking [`ClusterCtx`](crate::ClusterCtx) collectives (a
+//! flow per color, a segment ring per node-aware op; the relay on
+//! single-rank nodes and at the root), the `bgp-sched` progress engine (a
+//! flow, segment ring or relay per in-flight op, demultiplexed by op id),
+//! and the [`crate::proc`] worker. A driver supplies links, tags, local
+//! readiness and result publication ([`RingNode`], [`SegNode`]).
 //!
 //! **Ring flow.** Along one ring direction, position 0 injects its partial
 //! of each chunk, positions `1..m-1` combine the incoming partial with
@@ -16,18 +18,28 @@
 //! straight from the incoming slot's loan when the link has room and no
 //! earlier full is waiting, otherwise later from the accumulator.
 //!
+//! **Segment ring.** The accumulator is cut into one segment per node. In
+//! each of `m-1` reduce-scatter steps a node sends one segment's partial
+//! (first its own, then the one it combined a step earlier) and combines
+//! the incoming one in place; the last incoming segment is the node's own,
+//! now final. In each of `m-1` allgather steps it sends its newest final
+//! segment and lands the incoming one. Each chunk crosses each link at
+//! most once per stage.
+//!
 //! **Ordering and deadlock freedom.** Links are FIFO and every sender emits
-//! each kind in chunk order, so chunks arrive in order and final values
-//! land as a prefix. Only one reception is gated: a partial waits for this
-//! node's partial of its chunk (node-local progress) and, except at the
-//! last position, for room on the outgoing link. Fulls and relay chunks
-//! land unconditionally and no send blocks. So the link into position
-//! `m-1` drains, by induction against the ring direction so does every
-//! link into a partial forwarder, links carrying only fulls drain
+//! its chunks in schedule order, so chunks arrive in order and results are
+//! published as a prefix. Only partials are gated on reception: a
+//! ring-flow partial waits for this node's partial of its chunk (node-local
+//! progress) and, except at the last position, for room on the outgoing
+//! link; a segment-ring partial waits only for this node's contribution.
+//! Fulls and relay chunks land unconditionally and no send blocks. So a
+//! segment-ring chunk never waits on a link, the link into position `m-1`
+//! drains, by induction against the ring direction so does every link
+//! into a partial forwarder, links carrying only fulls drain
 //! unconditionally, and tree links form no cycle: a driver that keeps
 //! calling `push` and consuming whatever `can_accept` admits never
-//! deadlocks, even when flows share a link and one flow's gated head holds
-//! back another's chunks.
+//! deadlocks, even when flows and rings share a link and one's gated head
+//! holds back another's chunks.
 
 use bgp_shmem::{spin, MessageCounter, SharedRegion};
 
@@ -42,6 +54,22 @@ pub enum Kind {
     Partial,
     /// A chunk's final value, circulating back from the last position.
     Full,
+}
+
+/// The blocking wire tags' kind bit of `kind`, and back.
+fn wire_bit(kind: Kind) -> u64 {
+    match kind {
+        Kind::Partial => KIND_PARTIAL,
+        Kind::Full => KIND_FULL,
+    }
+}
+
+fn wire_kind(bit: u64) -> Kind {
+    if bit == KIND_FULL {
+        Kind::Full
+    } else {
+        Kind::Partial
+    }
 }
 
 /// `(byte offset, byte length)` of chunk `k` of a `len`-byte message cut
@@ -307,11 +335,7 @@ unsafe impl RingNode for ColorNode<'_> {
     }
 
     fn tag(&self, kind: Kind, k: usize) -> u64 {
-        let bit = match kind {
-            Kind::Partial => KIND_PARTIAL,
-            Kind::Full => KIND_FULL,
-        };
-        pack_tag(self.c, bit, k)
+        pack_tag(self.c, wire_bit(kind), k)
     }
 
     fn landed(&self, len: usize) {
@@ -351,12 +375,8 @@ pub(crate) fn run_ring<S: SlotStore>(
             let in_ch = fabric.ring_recv(v, dir);
             while expects(flows) > 0 {
                 let Some(tag) = in_ch.peek_tag() else { break };
-                let (c, kind, k) = unpack_tag(tag);
-                let kind = if kind == KIND_FULL {
-                    Kind::Full
-                } else {
-                    Kind::Partial
-                };
+                let (c, bit, k) = unpack_tag(tag);
+                let kind = wire_kind(bit);
                 let f = &mut flows[c];
                 debug_assert_eq!(f.dir, dir, "flow routed on the wrong ring direction");
                 if !f.can_accept(fabric, kind, k, &nodes[c]) {
@@ -368,6 +388,285 @@ pub(crate) fn run_ring<S: SlotStore>(
         }
         if flows.iter().all(RingFlow::finished) {
             return;
+        }
+        if !progressed {
+            spin();
+        }
+    }
+}
+
+/// The node-local side of one [`SegRing`], supplied by its driver.
+///
+/// # Safety
+///
+/// Implementors guarantee, for as long as the ring runs: once `ready()` has
+/// returned true, `acc()` holds this node's contribution and nobody but the
+/// ring writes it again; and nobody but the ring reads a chunk of `acc()`
+/// as a result before `landed` reported it.
+pub unsafe trait SegNode {
+    /// The ring's accumulator, cut into one segment per node.
+    fn acc(&self) -> &SharedRegion;
+    /// Is this node's contribution valid in [`Self::acc`]: its partial of
+    /// every segment (reduce-scatter), or its own segment (allgather only)?
+    fn ready(&self) -> bool;
+    /// The link tag of chunk `j` of node `seg`'s segment.
+    fn tag(&self, kind: Kind, seg: usize, j: usize) -> u64;
+    /// The next chunk of the result prefix, `len` bytes, is final in the
+    /// accumulator (called in buffer order).
+    fn landed(&self, len: usize);
+}
+
+/// One resumable segment ring: the reduce-scatter and/or allgather stage
+/// of a blocking node-aware collective, or an engine allgather. See the
+/// module docs for the protocol.
+pub struct SegRing {
+    v: usize,
+    dir: RingDir,
+    chunk: usize,
+    /// Node `w`'s segment is accumulator bytes `bounds[w]..bounds[w + 1]`.
+    bounds: Vec<usize>,
+    /// The segment the step-`i` send carries; the step-`i` reception
+    /// carries `steps[i + 1]`. `steps[rs]` is this node's own segment.
+    steps: Vec<usize>,
+    /// Reduce-scatter steps (partials); the rest are allgather steps.
+    rs: usize,
+    ready: bool,
+    /// `(index into steps, chunk)` of the next send and the next reception.
+    send: (usize, usize),
+    recv: (usize, usize),
+    /// Final chunks per segment, and the next chunk of the result prefix,
+    /// which ends before segment `pub_end`.
+    fin: Vec<usize>,
+    publ: (usize, usize),
+    pub_end: usize,
+}
+
+impl SegRing {
+    /// Node `v`'s ring over accumulator segments `bounds` (node `w`'s is
+    /// `bounds[w]..bounds[w + 1]`, in the fabric's chunk size) along `dir`:
+    /// `m - 1` reduce-scatter steps if `rs`, after which node `v` holds
+    /// segment `v` final, then `m - 1` allgather steps if `ag`.
+    pub fn new<S: SlotStore>(
+        fabric: &Fabric<S>,
+        v: usize,
+        dir: RingDir,
+        bounds: Vec<usize>,
+        rs: bool,
+        ag: bool,
+    ) -> Self {
+        let m = fabric.n_nodes();
+        debug_assert_eq!(bounds.len(), m + 1, "one segment per node");
+        let p = fabric.ring_pos(v, dir);
+        let (rs, ag) = (if rs { m - 1 } else { 0 }, if ag { m - 1 } else { 0 });
+        // Step t (from the first reduce-scatter step) carries the segment
+        // of the node t + 1 positions upstream: each step forwards what
+        // the one before received, and the last reduce-scatter reception
+        // is this node's own segment.
+        let steps = (m - 1 - rs..m + ag)
+            .map(|t| fabric.ring_node((p + 2 * m - 1 - t) % m, dir))
+            .collect();
+        let mut ring = SegRing {
+            v,
+            dir,
+            chunk: fabric.chunk_bytes(),
+            bounds,
+            steps,
+            rs,
+            ready: false,
+            send: (0, 0),
+            recv: (1, 0),
+            fin: vec![0; m],
+            publ: (if ag > 0 { 0 } else { v }, 0),
+            pub_end: if ag > 0 { m } else { v + 1 },
+        };
+        ring.send = ring.skip(ring.send, ring.steps.len() - 1);
+        ring.recv = ring.skip(ring.recv, ring.steps.len());
+        ring
+    }
+
+    /// The direction the ring travels.
+    pub fn dir(&self) -> RingDir {
+        self.dir
+    }
+
+    /// Chunks in node `w`'s segment.
+    fn chunks(&self, w: usize) -> usize {
+        (self.bounds[w + 1] - self.bounds[w]).div_ceil(self.chunk)
+    }
+
+    /// `(byte offset, byte length)` of chunk `j` of node `w`'s segment.
+    fn at(&self, w: usize, j: usize) -> (usize, usize) {
+        let (off, len) = chunk_at(self.bounds[w + 1] - self.bounds[w], self.chunk, j);
+        (self.bounds[w] + off, len)
+    }
+
+    /// Cursor `c`, moved past the ends of segments, stopping at `end`.
+    fn skip(&self, (mut i, mut j): (usize, usize), end: usize) -> (usize, usize) {
+        while i < end && j == self.chunks(self.steps[i]) {
+            (i, j) = (i + 1, 0);
+        }
+        (i, j)
+    }
+
+    /// Are chunks still expected on the incoming link?
+    fn expects(&self) -> bool {
+        self.recv.0 < self.steps.len()
+    }
+
+    /// Has the ring sent, received and published everything?
+    pub fn finished(&self) -> bool {
+        self.ready
+            && !self.expects()
+            && self.send.0 + 1 == self.steps.len()
+            && self.publ.0 == self.pub_end
+    }
+
+    /// Can chunk `kind` at the head of the incoming link be consumed now?
+    /// Pure check; [`Self::consume`] requires it.
+    pub fn can_accept(&self, kind: Kind, node: &impl SegNode) -> bool {
+        kind == Kind::Full || self.ready || node.ready()
+    }
+
+    /// Consume chunk `(kind, j)` with payload `bytes`, which
+    /// [`Self::can_accept`] admitted: combine a partial into the
+    /// accumulator, or land a final value there.
+    pub fn consume(&mut self, kind: Kind, j: usize, bytes: &[u8], node: &impl SegNode) {
+        let (i, jj) = self.recv;
+        let w = self.steps[i];
+        let (off, len) = self.at(w, jj);
+        debug_assert_eq!(
+            (kind == Kind::Partial, j),
+            (i <= self.rs, jj),
+            "out of order"
+        );
+        debug_assert_eq!(len, bytes.len(), "chunk {j} has the wrong length");
+        let acc = node.acc();
+        if kind == Kind::Partial {
+            self.ready = true;
+            // SAFETY: this node's partial of the chunk is valid (ready) and
+            // the ring has exclusive use of it; result readers wait for
+            // `landed`.
+            unsafe {
+                acc.with_bytes_mut(off, len, |local| kernels::add_bytes_assign(local, bytes))
+            };
+        } else {
+            // SAFETY: another node's segment: only the ring writes it, and
+            // it already sent this node's partial of it (the final value
+            // includes it).
+            unsafe { acc.write(off, bytes) };
+        }
+        if i >= self.rs {
+            self.fin[w] += 1;
+        }
+        self.recv = self.skip((i, jj + 1), self.steps.len());
+    }
+
+    /// Send every chunk that is ready and fits — the first step's once this
+    /// node is ready, later steps' once received — and publish the result
+    /// prefix. Returns whether anything moved.
+    pub fn push<S: SlotStore>(&mut self, fabric: &Fabric<S>, node: &impl SegNode) -> bool {
+        let start = (self.send, self.publ);
+        if !self.ready && node.ready() {
+            self.ready = true;
+            if self.rs == 0 {
+                self.fin[self.v] = self.chunks(self.v);
+            }
+        }
+        let acc = node.acc();
+        while self.send.0 + 1 < self.steps.len()
+            && if self.send.0 == 0 {
+                self.ready
+            } else {
+                self.recv > self.send
+            }
+        {
+            let (i, j) = self.send;
+            let w = self.steps[i];
+            let (off, len) = self.at(w, j);
+            let kind = if i < self.rs {
+                Kind::Partial
+            } else {
+                Kind::Full
+            };
+            // SAFETY: the chunk is this node's contribution (ready) or was
+            // received in full; nobody else writes it.
+            let out = fabric.ring_send(self.v, self.dir);
+            if !out.try_send_with(node.tag(kind, w, j), len, |d| unsafe { acc.read(off, d) }) {
+                break;
+            }
+            self.send = self.skip((i, j + 1), self.steps.len() - 1);
+        }
+        while self.publ.0 < self.pub_end {
+            let (w, j) = self.publ;
+            if j < self.fin[w] {
+                node.landed(self.at(w, j).1);
+                self.publ.1 += 1;
+            } else if j == self.chunks(w) {
+                self.publ = (w + 1, 0);
+            } else {
+                break;
+            }
+        }
+        (self.send, self.publ) != start
+    }
+}
+
+/// A blocking node-aware collective's node side: the accumulator, the
+/// node's rank streams that fill it, and the result stream. Chunks carry
+/// the blocking wire tags, the segment in the color field.
+pub(crate) struct StreamNode<'a> {
+    pub acc: &'a SharedRegion,
+    /// Each rank's stream and the value it reaches once the rank's share
+    /// of this node's contribution is in `acc`.
+    pub parts: Vec<(&'a MessageCounter, u64)>,
+    pub res: &'a MessageCounter,
+}
+
+// SAFETY: ranks write their share of `acc` before publishing it on their
+// stream and never again this operation; result readers read only the
+// prefix published on `res`.
+unsafe impl SegNode for StreamNode<'_> {
+    fn acc(&self) -> &SharedRegion {
+        self.acc
+    }
+
+    fn ready(&self) -> bool {
+        self.parts.iter().all(|&(c, want)| c.read() >= want)
+    }
+
+    fn tag(&self, kind: Kind, seg: usize, j: usize) -> u64 {
+        pack_tag(seg, wire_bit(kind), j)
+    }
+
+    fn landed(&self, len: usize) {
+        self.res.publish(len as u64);
+    }
+}
+
+/// Drive `ring` to completion on the calling thread — the blocking
+/// node-aware collectives' network core.
+pub(crate) fn run_seg<S: SlotStore>(
+    fabric: &Fabric<S>,
+    v: usize,
+    ring: &mut SegRing,
+    node: &StreamNode,
+) {
+    while !ring.finished() {
+        let mut progressed = ring.push(fabric, node);
+        // Peek no further than this operation's own chunks (see run_ring).
+        while ring.expects() {
+            let Some(tag) = fabric.ring_recv(v, ring.dir).peek_tag() else {
+                break;
+            };
+            let (_, bit, j) = unpack_tag(tag);
+            let kind = wire_kind(bit);
+            if !ring.can_accept(kind, node) {
+                break;
+            }
+            fabric
+                .ring_recv(v, ring.dir)
+                .recv_with(|_, bytes| ring.consume(kind, j, bytes, node));
+            progressed = true;
         }
         if !progressed {
             spin();

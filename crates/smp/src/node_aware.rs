@@ -15,13 +15,18 @@
 //! 1. **Intra-node reduce** — rank `r` reduces chunk range
 //!    `[r*kt/n, (r+1)*kt/n)` of all `n` local inputs into one node
 //!    accumulator, publishing cumulative bytes on its producer stream.
-//! 2. **Ring reduce-scatter** — node `v` owns chunk segment
+//! 2. **Ring reduce-scatter** — node `w`'s segment is chunks
 //!    `[w*kt/m, (w+1)*kt/m)`; in `m-1` steps each node sends one segment
 //!    of partials and combines the incoming segment into its accumulator,
-//!    so each chunk crosses each link at most once.
+//!    so each chunk crosses each link at most once, and node `v` ends
+//!    holding segment `v` final.
 //! 3. **Ring allgather** — the reduced segments circulate back in `m-1`
 //!    steps; every rank chases a single prefix-ordered result counter and
 //!    copies finished bytes out.
+//!
+//! Stages 2 and 3 are one [`SegRing`](crate::netcore::SegRing), which
+//! `reduce_scatter_f64` (stage 2 only) and `allgather` (stage 3 only) run
+//! too.
 //!
 //! Total inter-node traffic is `2(m-1)/m * kt` chunk-sends per node versus
 //! the flat ring's `~2(m-1)/m * kt_flat` with `kt_flat >= kt` (per-color
@@ -34,33 +39,7 @@
 //! validates its widest tag once per op with [`try_pack_tag`].
 
 use super::*;
-
-/// When a queued chunk of the ring schedule may be sent.
-enum Gate {
-    /// At once: step-1 partials (the ring starts after the intra stage).
-    Now,
-    /// The chunk's incoming partial was combined at the previous step.
-    RsAdded,
-    /// The chunk's final value is in the accumulator (allgather stage).
-    Done,
-}
-
-/// One outbound chunk of the node-aware ring schedule.
-struct SendItem {
-    seg: usize,
-    kind: u64,
-    k: usize,
-    gate: Gate,
-}
-
-/// One expected inbound chunk, in arrival order.
-struct RecvItem {
-    seg: usize,
-    kind: u64,
-    k: usize,
-    /// Final reduce-scatter step: the combined chunk is a finished result.
-    last_rs: bool,
-}
+use crate::netcore::{run_seg, SegRing, StreamNode};
 
 impl ClusterCtx {
     /// The output span (element range of the reduced vector) this rank
@@ -83,14 +62,51 @@ impl ClusterCtx {
         output: &Arc<SharedRegion>,
         count: usize,
     ) {
+        self.na_reduce(input, output, count, false)
+    }
+
+    /// Reduce-scatter (sum) over `count` doubles: after the intra-node
+    /// reduce and the ring reduce-scatter stage, global rank `g` holds
+    /// elements [`scatter_span`](Self::scatter_span) of the reduced vector
+    /// at offset 0 of its `output`. Only the reduce-scatter half of the
+    /// node-aware allreduce runs, so each payload byte crosses each ring
+    /// link at most once. SPMD.
+    pub fn reduce_scatter_f64(
+        &mut self,
+        input: &Arc<SharedRegion>,
+        output: &Arc<SharedRegion>,
+        count: usize,
+    ) {
+        self.na_reduce(input, output, count, true)
+    }
+
+    /// Shared body of [`Self::allreduce_f64_node_aware`] /
+    /// [`Self::reduce_scatter_f64`]: the segment layout (global chunk grid
+    /// vs. each node's element span), whether the allgather stage runs, and
+    /// the copy-out span differ.
+    fn na_reduce(
+        &mut self,
+        input: &Arc<SharedRegion>,
+        output: &Arc<SharedRegion>,
+        count: usize,
+        scatter: bool,
+    ) {
         let shared = self.shared.clone();
         let (m, n) = (shared.m, shared.n);
+        let world = m * n;
+        let (my_lo, my_hi) = if scatter {
+            self.scatter_span(count)
+        } else {
+            (0, count)
+        };
         assert!(input.len() >= count * 8, "input shorter than count");
-        assert!(output.len() >= count * 8, "output shorter than count");
+        assert!(
+            output.len() >= (my_hi - my_lo) * 8,
+            "output shorter than this rank's result span"
+        );
         let op = self.ctx.next_op();
         let (in_tag, acc_tag) = (2 * op, 2 * op + 1);
         let me = self.ctx.rank();
-        let v = self.node;
         let chunk = shared.fabric.chunk_bytes();
         let bytes = count * 8;
         let kt = bytes.div_ceil(chunk);
@@ -98,23 +114,9 @@ impl ClusterCtx {
             // One checked pack covers the widest tag the op can emit.
             try_pack_tag(m - 1, KIND_FULL, kt - 1).expect("geometry exceeds the tag namespace");
         }
-
         let clen = |k: usize| (bytes - k * chunk).min(chunk);
         // Rank r reduces chunk range [r*kt/n, (r+1)*kt/n).
         let rpart = |r: usize| (r * kt / n, (r + 1) * kt / n);
-        // Per-chunk readiness: which rank reduces chunk k, and the
-        // cumulative byte count on that rank's stream that covers it.
-        let mut chunk_need = vec![(0usize, 0u64); kt];
-        let mut part_bytes = vec![0u64; n];
-        for (r, pb) in part_bytes.iter_mut().enumerate() {
-            let (klo, khi) = rpart(r);
-            let mut cum = 0u64;
-            for (need, k) in chunk_need[klo..khi].iter_mut().zip(klo..) {
-                cum += clen(k) as u64;
-                *need = (r, cum);
-            }
-            *pb = cum;
-        }
 
         let pbase: Vec<u64> = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
         let rbase = self.ctx.aux_counter(n).read();
@@ -153,328 +155,34 @@ impl ClusterCtx {
             }
         }
 
-        // Stages 2+3 — rank 0 drives the reduce-scatter and allgather
-        // rings and publishes results in prefix order on stream n.
+        // Stages 2+3 — rank 0 runs the segment ring once the intra stage
+        // is done. The allreduce's segments follow the global chunk grid,
+        // so no chunk is split; reduce-scatter's are each node's span.
         if me == 0 {
-            if m == 1 {
-                for (k, &(r, need)) in chunk_need.iter().enumerate() {
-                    self.ctx.aux_counter(r).wait_past(pbase[r], need);
-                    self.ctx.aux_counter(n).publish(clen(k) as u64);
-                }
-            } else {
-                // The ring stage starts once the intra stage is done.
-                for r in 0..n {
-                    if part_bytes[r] > 0 {
-                        self.ctx.aux_counter(r).wait_past(pbase[r], part_bytes[r]);
+            let bounds = (0..=m)
+                .map(|w| {
+                    if scatter {
+                        w * n * count / world * 8
+                    } else {
+                        (w * kt / m * chunk).min(bytes)
                     }
-                }
-                let seg = |w: usize| (w * kt / m, (w + 1) * kt / m);
-                let mut splan = Vec::new();
-                let mut rplan = Vec::new();
-                for s in 1..m {
-                    let w = (v + 1 + m - s) % m; // reduce-scatter sends
-                    let (klo, khi) = seg(w);
-                    for k in klo..khi {
-                        splan.push(SendItem {
-                            seg: w,
-                            kind: KIND_PARTIAL,
-                            k,
-                            gate: if s == 1 { Gate::Now } else { Gate::RsAdded },
-                        });
-                    }
-                    let w = (v + m - s) % m; // reduce-scatter receives
-                    let (klo, khi) = seg(w);
-                    for k in klo..khi {
-                        rplan.push(RecvItem {
-                            seg: w,
-                            kind: KIND_PARTIAL,
-                            k,
-                            last_rs: s == m - 1,
-                        });
-                    }
-                }
-                for s in 1..m {
-                    let w = (v + 2 + m - s) % m; // allgather sends
-                    let (klo, khi) = seg(w);
-                    for k in klo..khi {
-                        splan.push(SendItem {
-                            seg: w,
-                            kind: KIND_FULL,
-                            k,
-                            gate: Gate::Done,
-                        });
-                    }
-                    let w = (v + 1 + m - s) % m; // allgather receives
-                    let (klo, khi) = seg(w);
-                    for k in klo..khi {
-                        rplan.push(RecvItem {
-                            seg: w,
-                            kind: KIND_FULL,
-                            k,
-                            last_rs: false,
-                        });
-                    }
-                }
-
-                let mut rs_added = vec![false; kt];
-                let mut done = vec![false; kt];
-                // After the final reduce-scatter step, this node's own
-                // segment is finished without receiving anything further.
-                let mut prefix = 0usize;
-                let (mut si, mut ri) = (0usize, 0usize);
-                let out = shared.fabric.ring_send(v, RingDir::Plus);
-                let in_ch = shared.fabric.ring_recv(v, RingDir::Plus);
-                while si < splan.len() || ri < rplan.len() {
-                    let mut progressed = false;
-
-                    while si < splan.len() {
-                        let it = &splan[si];
-                        let ready = match it.gate {
-                            Gate::Now => true,
-                            Gate::RsAdded => rs_added[it.k],
-                            Gate::Done => done[it.k],
-                        };
-                        if !ready || !out.can_send() {
-                            break;
-                        }
-                        let off = it.k * chunk;
-                        let cl = clen(it.k);
-                        // SAFETY: the gate ordered us after the writer of
-                        // this accumulator range.
-                        let ok =
-                            out.try_send_with(pack_tag(it.seg, it.kind, it.k), cl, |dst| unsafe {
-                                acc.read(off, dst)
-                            });
-                        debug_assert!(ok, "can_send held and we are the sole producer");
-                        si += 1;
-                        progressed = true;
-                    }
-
-                    while ri < rplan.len() {
-                        let Some(tag) = in_ch.peek_tag() else { break };
-                        let it = &rplan[ri];
-                        debug_assert_eq!(tag, pack_tag(it.seg, it.kind, it.k));
-                        let off = it.k * chunk;
-                        let cl = clen(it.k);
-                        let rs = in_ch.peek();
-                        if it.kind == KIND_PARTIAL {
-                            // SAFETY: the wait for the intra stage ordered us
-                            // after our own partial of this chunk; we are the
-                            // only other accessor of the accumulator range.
-                            rs.with_bytes(|inb| unsafe {
-                                acc.with_bytes_mut(off, cl, |local| {
-                                    crate::kernels::add_bytes_assign(local, inb)
-                                })
-                            });
-                            rs_added[it.k] = true;
-                            if it.last_rs {
-                                done[it.k] = true;
-                            }
-                        } else {
-                            // SAFETY: our forwarding of this chunk's partial
-                            // ordered every prior reader before the
-                            // overwrite; result readers gate on stream n.
-                            rs.with_bytes(|inb| unsafe { acc.write(off, inb) });
-                            done[it.k] = true;
-                        }
-                        ri += 1;
-                        progressed = true;
-                    }
-
-                    while prefix < kt && done[prefix] {
-                        self.ctx.aux_counter(n).publish(clen(prefix) as u64);
-                        prefix += 1;
-                        progressed = true;
-                    }
-
-                    if !progressed {
-                        bgp_shmem::spin();
-                    }
-                }
-                while prefix < kt && done[prefix] {
-                    self.ctx.aux_counter(n).publish(clen(prefix) as u64);
-                    prefix += 1;
-                }
-                debug_assert_eq!(prefix, kt, "ring drained with unfinished chunks");
-            }
+                })
+                .collect();
+            let need: Vec<u64> = (0..n)
+                .map(|r| {
+                    let (klo, khi) = rpart(r);
+                    pbase[r] + (klo..khi).map(|k| clen(k) as u64).sum::<u64>()
+                })
+                .collect();
+            self.run_seg_ring(&acc, bounds, &need, true, !scatter);
         }
 
-        // Copy-out — every rank chases the single result stream.
-        self.chase_copy(output, &acc, bytes, n, rbase, None);
-
-        self.ctx.barrier();
-        self.ctx.registry().unexpose(me as u32, in_tag);
-        if me == 0 {
-            self.ctx.registry().unexpose(0, acc_tag);
-        }
-    }
-
-    /// Reduce-scatter (sum) over `count` doubles: after the intra-node
-    /// reduce and the ring reduce-scatter stage, global rank `g` holds
-    /// elements [`scatter_span`](Self::scatter_span) of the reduced vector
-    /// at offset 0 of its `output`. Only the reduce-scatter half of the
-    /// node-aware allreduce runs, so each payload byte crosses each ring
-    /// link at most once. SPMD.
-    pub fn reduce_scatter_f64(
-        &mut self,
-        input: &Arc<SharedRegion>,
-        output: &Arc<SharedRegion>,
-        count: usize,
-    ) {
-        let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
-        let world = m * n;
-        assert!(input.len() >= count * 8, "input shorter than count");
-        let (my_lo, my_hi) = self.scatter_span(count);
-        assert!(
-            output.len() >= (my_hi - my_lo) * 8,
-            "output shorter than this rank's scatter span"
-        );
-        let op = self.ctx.next_op();
-        let (in_tag, acc_tag) = (2 * op, 2 * op + 1);
-        let me = self.ctx.rank();
-        let v = self.node;
-        let chunk = shared.fabric.chunk_bytes();
-        let bytes = count * 8;
-        let kt = bytes.div_ceil(chunk);
-        let clen = |k: usize| (bytes - k * chunk).min(chunk);
-        let rpart = |r: usize| (r * kt / n, (r + 1) * kt / n);
-        // Node w's element segment: the union of its ranks' output spans.
-        let nseg = |w: usize| (w * n * count / world, (w + 1) * n * count / world);
-        let seg_bytes = |w: usize| {
-            let (lo, hi) = nseg(w);
-            (hi - lo) * 8
-        };
-        if kt > 0 {
-            // Per-segment chunk indices are bounded by the global count.
-            try_pack_tag(m - 1, KIND_PARTIAL, kt - 1).expect("geometry exceeds the tag namespace");
-        }
-
-        let pbase: Vec<u64> = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
-        let rbase = self.ctx.aux_counter(n).read();
-
-        self.ctx.registry().expose(me as u32, in_tag, input.clone());
-        if me == 0 {
-            let acc = self.ctx.alloc_buffer(bytes.max(1));
-            self.ctx.registry().expose(0, acc_tag, acc);
-        }
-        self.ctx.barrier();
-        let acc = self.map_cached(0, acc_tag);
-
-        // Intra reduce — identical to the node-aware allreduce stage 1.
-        {
-            let inputs: Vec<Arc<SharedRegion>> =
-                (0..n).map(|r| self.map_cached(r as u32, in_tag)).collect();
-            let (klo, khi) = rpart(me);
-            for k in klo..khi {
-                let off = k * chunk;
-                let cl = clen(k);
-                // SAFETY: as in na_allreduce stage 1.
-                unsafe {
-                    acc.with_bytes_mut(off, cl, |dst| {
-                        inputs[0].with_bytes(off, cl, |src| dst.copy_from_slice(src));
-                        for inp in &inputs[1..] {
-                            inp.with_bytes(off, cl, |src| {
-                                crate::kernels::add_bytes_assign(dst, src)
-                            });
-                        }
-                    });
-                }
-                self.ctx.aux_counter(me).publish(cl as u64);
-            }
-        }
-
-        if me == 0 {
-            // The ring stage starts once the intra stage is done.
-            for (r, &pb) in pbase.iter().enumerate() {
-                let (klo, khi) = rpart(r);
-                let total: u64 = (klo..khi).map(|k| clen(k) as u64).sum();
-                if total > 0 {
-                    self.ctx.aux_counter(r).wait_past(pb, total);
-                }
-            }
-            if m == 1 {
-                self.ctx.aux_counter(n).publish(seg_bytes(v) as u64);
-            } else {
-                // Ring reduce-scatter over element segments, targeting each
-                // node's *own* segment: step s sends seg (v-s) mod m,
-                // receives seg (v-1-s) mod m; the final receive is seg v.
-                let mut splan = Vec::new();
-                let mut rplan = Vec::new();
-                for s in 1..m {
-                    let w = (v + m - s) % m;
-                    for (j, _, _) in chunks_of(seg_bytes(w), chunk) {
-                        splan.push((w, j, s == 1));
-                    }
-                    let w = (v + 2 * m - 1 - s) % m;
-                    for (j, _, _) in chunks_of(seg_bytes(w), chunk) {
-                        rplan.push((w, j, s == m - 1));
-                    }
-                }
-                // rs_added[(w, j)] — combined at the previous step, so the
-                // forward at the next step may read it from acc.
-                let mut rs_added: Vec<Vec<bool>> = (0..m)
-                    .map(|w| vec![false; seg_bytes(w).div_ceil(chunk)])
-                    .collect();
-                let (mut si, mut ri) = (0usize, 0usize);
-                let out = shared.fabric.ring_send(v, RingDir::Plus);
-                let in_ch = shared.fabric.ring_recv(v, RingDir::Plus);
-                while si < splan.len() || ri < rplan.len() {
-                    let mut progressed = false;
-                    while si < splan.len() {
-                        let (w, j, first) = splan[si];
-                        if !(first || rs_added[w][j]) || !out.can_send() {
-                            break;
-                        }
-                        let blo = nseg(w).0 * 8;
-                        let off = blo + j * chunk;
-                        let cl = (seg_bytes(w) - j * chunk).min(chunk);
-                        // SAFETY: intra stage complete (waited above); for
-                        // forwards, the combine below ordered the writer.
-                        let ok =
-                            out.try_send_with(pack_tag(w, KIND_PARTIAL, j), cl, |dst| unsafe {
-                                acc.read(off, dst)
-                            });
-                        debug_assert!(ok);
-                        si += 1;
-                        progressed = true;
-                    }
-                    while ri < rplan.len() {
-                        if in_ch.peek_tag().is_none() {
-                            break;
-                        }
-                        let (w, j, last) = rplan[ri];
-                        debug_assert_eq!(in_ch.peek_tag(), Some(pack_tag(w, KIND_PARTIAL, j)));
-                        let blo = nseg(w).0 * 8;
-                        let off = blo + j * chunk;
-                        let cl = (seg_bytes(w) - j * chunk).min(chunk);
-                        let rs = in_ch.peek();
-                        // SAFETY: intra stage complete; we are the unique
-                        // accessor of acc during the ring stage.
-                        rs.with_bytes(|inb| unsafe {
-                            acc.with_bytes_mut(off, cl, |local| {
-                                crate::kernels::add_bytes_assign(local, inb)
-                            })
-                        });
-                        rs_added[w][j] = true;
-                        if last {
-                            debug_assert_eq!(w, v, "the final step reduces our own segment");
-                            self.ctx.aux_counter(n).publish(cl as u64);
-                        }
-                        ri += 1;
-                        progressed = true;
-                    }
-                    if !progressed {
-                        bgp_shmem::spin();
-                    }
-                }
-            }
-        }
-
-        // Scatter — each rank waits for its sub-span of the node segment
-        // and copies it out of the accumulator.
-        if my_hi > my_lo {
-            let seg_lo = nseg(v).0;
+        // Copy-out — chase the result stream: the whole message, or this
+        // rank's sub-span of the node's segment.
+        if !scatter {
+            self.chase_copy(output, &acc, bytes, n, rbase, None);
+        } else if my_hi > my_lo {
+            let seg_lo = self.node * n * count / world;
             let need = ((my_hi - seg_lo) * 8) as u64;
             self.ctx.aux_counter(n).wait_past(rbase, need);
             // SAFETY: the result counter acquire ordered us after the
@@ -489,29 +197,53 @@ impl ClusterCtx {
         }
     }
 
+    /// Rank 0: run this node's segment ring over `acc` (reduce-scatter
+    /// steps if `rs`, allgather steps if `ag`) once each rank `r`'s stream
+    /// reached `need[r]`, publishing the result prefix on stream `n`.
+    fn run_seg_ring(
+        &self,
+        acc: &SharedRegion,
+        bounds: Vec<usize>,
+        need: &[u64],
+        rs: bool,
+        ag: bool,
+    ) {
+        let fabric = &self.shared.fabric;
+        let node = StreamNode {
+            acc,
+            parts: need
+                .iter()
+                .enumerate()
+                .map(|(r, &want)| (self.ctx.aux_counter(r), want))
+                .collect(),
+            res: self.ctx.aux_counter(need.len()),
+        };
+        let mut ring = SegRing::new(fabric, self.node, RingDir::Plus, bounds, rs, ag);
+        run_seg(fabric, self.node, &mut ring, &node);
+    }
+
     /// Allgather: every global rank contributes `len` bytes from `input`;
     /// every rank's `output` receives all `G` blocks in global-rank order.
     /// Ranks deposit their blocks straight into the node accumulator, node
     /// blocks circulate the ring once, and every rank chases one
     /// prefix-ordered result stream. SPMD.
     pub fn allgather(&mut self, input: &Arc<SharedRegion>, output: &Arc<SharedRegion>, len: usize) {
-        let shared = self.shared.clone();
-        let (m, n) = (shared.m, shared.n);
+        let (m, n) = (self.shared.m, self.shared.n);
         assert!(input.len() >= len, "input shorter than block");
         assert!(output.len() >= m * n * len, "output shorter than G blocks");
         let op = self.ctx.next_op();
         let acc_tag = 2 * op + 1;
         let me = self.ctx.rank();
-        let v = self.node;
-        let chunk = shared.fabric.chunk_bytes();
         let bl = n * len; // node block bytes
         let total = m * bl;
-        let kb = bl.div_ceil(chunk); // chunks per node block
+        let kb = bl.div_ceil(self.shared.fabric.chunk_bytes());
         if kb > 0 {
             try_pack_tag(m - 1, KIND_FULL, kb - 1).expect("geometry exceeds the tag namespace");
         }
 
-        let pbase: Vec<u64> = (0..n).map(|r| self.ctx.aux_counter(r).read()).collect();
+        let need: Vec<u64> = (0..n)
+            .map(|r| self.ctx.aux_counter(r).read() + len as u64)
+            .collect();
         let rbase = self.ctx.aux_counter(n).read();
 
         if me == 0 {
@@ -526,99 +258,13 @@ impl ClusterCtx {
         if len > 0 {
             // SAFETY: this rank's slice of the node block is uniquely ours;
             // readers gate on the publish.
-            unsafe { acc.copy_from(v * bl + me * len, input, 0, len) };
+            unsafe { acc.copy_from(self.node * bl + me * len, input, 0, len) };
         }
         self.ctx.aux_counter(me).publish(len as u64);
 
         if me == 0 {
-            for (r, &pb) in pbase.iter().enumerate() {
-                self.ctx.aux_counter(r).wait_past(pb, len as u64);
-            }
-            // Contiguous bytes finished per node block; results publish in
-            // buffer prefix order as blocks complete.
-            let mut blk_done = vec![0usize; m];
-            blk_done[v] = bl;
-            let mut published = 0u64;
-            let mut advance = |blk_done: &[usize], ctx: &crate::runtime::RankCtx| {
-                let mut avail = 0usize;
-                for &d in blk_done.iter().take(m) {
-                    avail += d;
-                    if d < bl {
-                        break;
-                    }
-                }
-                if avail as u64 > published {
-                    ctx.aux_counter(n).publish(avail as u64 - published);
-                    published = avail as u64;
-                }
-            };
-            advance(&blk_done, &self.ctx);
-            if m > 1 && kb > 0 {
-                // Ring allgather: step s sends block (v+1-s) mod m and
-                // receives block (v-s) mod m; sends after the first step
-                // forward the block received one step earlier.
-                let mut splan = Vec::new();
-                let mut rplan = Vec::new();
-                for s in 1..m {
-                    let w = (v + 1 + m - s) % m;
-                    for j in 0..kb {
-                        splan.push((w, j));
-                    }
-                    let w = (v + m - s) % m;
-                    for j in 0..kb {
-                        rplan.push((w, j));
-                    }
-                }
-                let mut have: Vec<Vec<bool>> = (0..m).map(|_| vec![false; kb]).collect();
-                have[v].fill(true);
-                let (mut si, mut ri) = (0usize, 0usize);
-                let out = shared.fabric.ring_send(v, RingDir::Plus);
-                let in_ch = shared.fabric.ring_recv(v, RingDir::Plus);
-                while si < splan.len() || ri < rplan.len() {
-                    let mut progressed = false;
-                    while si < splan.len() {
-                        let (w, j) = splan[si];
-                        if !have[w][j] || !out.can_send() {
-                            break;
-                        }
-                        let off = w * bl + j * chunk;
-                        let cl = (bl - j * chunk).min(chunk);
-                        // SAFETY: the block bytes were written before
-                        // `have` was set (intra wait or the store below).
-                        let ok = out.try_send_with(pack_tag(w, KIND_FULL, j), cl, |dst| unsafe {
-                            acc.read(off, dst)
-                        });
-                        debug_assert!(ok);
-                        si += 1;
-                        progressed = true;
-                    }
-                    while ri < rplan.len() {
-                        if in_ch.peek_tag().is_none() {
-                            break;
-                        }
-                        let (w, j) = rplan[ri];
-                        debug_assert_eq!(in_ch.peek_tag(), Some(pack_tag(w, KIND_FULL, j)));
-                        let off = w * bl + j * chunk;
-                        let cl = (bl - j * chunk).min(chunk);
-                        let rs = in_ch.peek();
-                        // SAFETY: sole writer of remote block regions;
-                        // readers gate on stream n.
-                        rs.with_bytes(|inb| {
-                            debug_assert_eq!(inb.len(), cl);
-                            unsafe { acc.write(off, inb) }
-                        });
-                        have[w][j] = true;
-                        blk_done[w] += cl;
-                        ri += 1;
-                        progressed = true;
-                    }
-                    advance(&blk_done, &self.ctx);
-                    if !progressed {
-                        bgp_shmem::spin();
-                    }
-                }
-                advance(&blk_done, &self.ctx);
-            }
+            let bounds = (0..=m).map(|w| w * bl).collect();
+            self.run_seg_ring(&acc, bounds, &need, false, true);
         }
 
         self.chase_copy(output, &acc, total, n, rbase, None);
@@ -990,7 +636,7 @@ mod tests {
     /// degenerate counts where most spans are empty.
     #[test]
     fn reduce_scatter_scatter_spans_and_values() {
-        for (m, n) in [(1usize, 2usize), (2, 2), (3, 2)] {
+        for (m, n) in [(1usize, 2usize), (2, 2), (3, 2), (4, 1), (4, 2)] {
             let cluster = Cluster::with_geometry(m, n, 64, 2);
             let world = m * n;
             for count in [0usize, 1, world - 1, 37, 129] {
@@ -1023,7 +669,7 @@ mod tests {
     /// every rank, including zero-length blocks.
     #[test]
     fn allgather_gathers_blocks_in_rank_order() {
-        for (m, n) in [(1usize, 2usize), (2, 2), (3, 2)] {
+        for (m, n) in [(1usize, 2usize), (2, 2), (3, 2), (4, 1), (4, 2)] {
             let cluster = Cluster::with_geometry(m, n, 64, 2);
             let world = m * n;
             for len in [0usize, 1, 5, 200] {
@@ -1085,16 +731,6 @@ mod tests {
                     all.truncate(world * len);
                     all
                 });
-                for ranks in &out {
-                    for all in ranks.iter().zip(0..n).map(|(a, _)| a) {
-                        for src in 0..world {
-                            for j in 0..len {
-                                let got = all[src * len + j];
-                                let _ = got;
-                            }
-                        }
-                    }
-                }
                 for (node, ranks) in out.iter().enumerate() {
                     for (r, all) in ranks.iter().enumerate() {
                         let g = node * n + r;
