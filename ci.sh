@@ -52,6 +52,13 @@ BGP_STRESS_FULL=1 cargo test -q --workspace
 echo "== perfbench: cargo test (benchmark crate against the current APIs)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Every paper-scale simulated time the benchmark pins (fig10 torus
+# broadcasts, Table I allreduces at 2048 quad-mode nodes), bit for bit; a
+# difference names the series and size that moved.
+echo "== perfbench: --print-sim-reference matches perfbench/sim_reference.txt"
+cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- --print-sim-reference |
+  diff -u perfbench/sim_reference.txt -
+
 echo "== model checker self-tests (bgp-check)"
 cargo test -q -p bgp-check
 

@@ -55,9 +55,14 @@ pub fn color_spans(total: u64, n_colors: usize) -> Vec<Span> {
 /// Check that `spans` form a disjoint, exact cover of `[0, total)`.
 /// Consumes and sorts the spans.
 pub fn spans_cover_exactly(mut spans: Vec<Span>, total: u64) -> bool {
+    sorted_cover(&mut spans, total)
+}
+
+/// [`spans_cover_exactly`] over a caller's buffer, which it sorts in place.
+pub(crate) fn sorted_cover(spans: &mut [Span], total: u64) -> bool {
     spans.sort_unstable();
     let mut next = 0u64;
-    for (off, len) in spans {
+    for &(off, len) in spans.iter() {
         if off != next {
             return false; // gap or overlap
         }

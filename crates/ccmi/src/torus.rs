@@ -10,18 +10,33 @@
 //! All bandwidth contention — links, each node's DMA engine, memory system and
 //! cores — flows through the `bgp-sim` servers reserved by the `bgp-dcmf`
 //! ops, so baselines and proposed schemes compete under identical rules.
+//!
+//! **Typed events.** The executor schedules four kinds of plain `Ev`
+//! values on one [`Calendar`] and fires them from a single `match`: the
+//! root's two per-color chains (`RootHop`: the phase-0 unicast to the
+//! color's relay; `RootIntra`: the root's own intra-node stage) and the two
+//! steps of every delivery (`Wire`: the chunk is off the wire, charge the
+//! destination's DMA reception; `Recv`: the chunk is in memory, account it,
+//! run the intra-node stage, forward it). Events carry the chunk *index*;
+//! the span is looked up in the color's chunk list.
+//!
+//! **Line plans.** Before the first event, each color's neighbor-rooted
+//! schedule is resolved into a dense per-node table of the lines that node
+//! sources, each line a slice of [`LineHop`]s (destination, delivery-link
+//! server, hop count). Forwarding a chunk is then a table lookup plus one
+//! [`ops::line_transfer`] per line, which hands each wire time straight to
+//! the calendar: the per-chunk path allocates nothing and redoes no torus
+//! coordinate arithmetic.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use bgp_dcmf::{ops, Machine, Sim};
-use bgp_machine::geometry::Direction;
-use bgp_machine::geometry::NodeId;
-use bgp_machine::routing::{color_routes, nr_schedule, LineBcast};
-use bgp_sim::SimTime;
+use bgp_dcmf::ops::LineHop;
+use bgp_dcmf::{ops, Machine};
+use bgp_machine::geometry::{Direction, NodeId};
+use bgp_machine::routing::{color_routes, nr_schedule, ColorRoute};
+use bgp_sim::{Calendar, SimTime};
 
-use crate::chunking::{chunk_sizes, chunk_spans, color_spans, spans_cover_exactly, Span};
+use crate::chunking::{chunk_sizes, chunk_spans, color_spans, sorted_cover, Span};
 
 /// The intra-node distribution stage: invoked at `node` when `bytes` of a
 /// chunk have landed in the master rank's reception buffer at time `now`;
@@ -68,30 +83,97 @@ pub struct BcastOutcome {
 impl BcastOutcome {
     /// Whether every node received a disjoint exact cover of the message.
     pub fn coverage_exact(&self, bytes: u64) -> bool {
-        self.spans
-            .iter()
-            .all(|s| spans_cover_exactly(s.clone(), bytes))
+        let mut buf = Vec::new();
+        self.spans.iter().all(|s| {
+            buf.clear();
+            buf.extend_from_slice(s);
+            sorted_cover(&mut buf, bytes)
+        })
     }
 }
 
-struct State {
-    root: NodeId,
-    /// Per color: lines sourced by each node (across all phases).
-    sources: Vec<HashMap<NodeId, Vec<LineBcast>>>,
-    /// Per color: the direction class carrying its delivery load.
-    charge_dirs: Vec<Direction>,
-    intra: IntraStage,
-    working_set: u64,
-    track: RefCell<Track>,
+/// One executor event; `k` indexes the color's pipeline chunks.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// The root unicasts chunk `k` one hop to the color's relay.
+    RootHop { color: u32, k: u32 },
+    /// The root's node peers copy chunk `k` out of the root rank's buffer.
+    RootIntra { color: u32, k: u32 },
+    /// Chunk `k` is off the wire at `dst`: charge its DMA reception.
+    Wire { color: u32, k: u32, dst: NodeId },
+    /// Chunk `k` is in `dst`'s memory: account it, run the intra-node
+    /// stage, forward it on the lines `dst` sources.
+    Recv { color: u32, k: u32, dst: NodeId },
 }
 
-struct Track {
+/// One color's share of the broadcast, resolved once per operation.
+struct ColorPlan {
+    /// The color's pipeline chunks, in launch order.
+    chunks: Vec<Span>,
+    /// The root's phase-0 unicast direction; also the direction class every
+    /// delivery of this color is charged to.
+    hop_dir: Direction,
+    /// The root's `hop_dir` neighbor, where the color's lines start.
+    relay: NodeId,
+    /// Lines sourced by node `v` (later phases first-to-last):
+    /// `lines[first[v]..first[v + 1]]`.
+    first: Vec<u32>,
+    /// Each line's deliveries, as a `hops[a..b]` range.
+    lines: Vec<(u32, u32)>,
+    hops: Vec<LineHop>,
+}
+
+impl ColorPlan {
+    fn new(m: &Machine, root: NodeId, route: &ColorRoute, chunks: Vec<Span>) -> Self {
+        let dims = m.cfg.dims;
+        let sched = nr_schedule(dims, dims.coord_of(root), route);
+        // Every line with its source, in schedule order; the stable sort
+        // keeps each node's lines in phase order.
+        let mut by_src: Vec<_> = sched
+            .phases
+            .iter()
+            .flatten()
+            .map(|lb| (dims.id_of(lb.from), *lb))
+            .collect();
+        by_src.sort_by_key(|&(v, _)| v);
+        let mut first = vec![0u32; dims.node_count() as usize + 1];
+        for &(v, _) in &by_src {
+            first[v.idx() + 1] += 1;
+        }
+        for v in 1..first.len() {
+            first[v] += first[v - 1];
+        }
+        let mut lines = Vec::with_capacity(by_src.len());
+        let mut hops = Vec::new();
+        for (_, lb) in by_src {
+            let a = hops.len() as u32;
+            hops.extend(ops::plan_line(m, lb, sched.hop_dir));
+            lines.push((a, hops.len() as u32));
+        }
+        ColorPlan {
+            chunks,
+            hop_dir: sched.hop_dir,
+            relay: m.node_at(sched.relay),
+            first,
+            lines,
+            hops,
+        }
+    }
+}
+
+/// The executor's state between events.
+struct Executor {
+    root: NodeId,
+    colors: Vec<ColorPlan>,
+    intra: IntraStage,
+    working_set: u64,
+    calendar: Calendar<Ev>,
     completion: SimTime,
     delivered: Vec<u64>,
     spans: Vec<Vec<Span>>,
 }
 
-/// Run one torus broadcast to completion on a fresh engine.
+/// Run one torus broadcast to completion on a fresh calendar.
 ///
 /// The machine's servers are *not* reset first — the caller decides whether
 /// the operation starts from a quiet machine (the microbenchmark barriers
@@ -116,190 +198,132 @@ pub fn run_torus_bcast(m: &mut Machine, spec: &TorusBcastSpec, intra: IntraStage
         };
     }
 
-    let root_coord = dims.coord_of(spec.root);
-    // The neighbor-rooted (edge-disjoint) schedule per color.
-    let schedules: Vec<_> = routes
+    let shares = color_spans(spec.bytes, routes.len());
+    let colors: Vec<ColorPlan> = routes
         .iter()
-        .map(|route| nr_schedule(dims, root_coord, route))
-        .collect();
-    let sources: Vec<HashMap<NodeId, Vec<LineBcast>>> = schedules
-        .iter()
-        .map(|sched| {
-            let mut map: HashMap<NodeId, Vec<LineBcast>> = HashMap::new();
-            for phase in &sched.phases {
-                for lb in phase {
-                    map.entry(dims.id_of(lb.from)).or_default().push(*lb);
-                }
-            }
-            map
+        .zip(&shares)
+        .map(|(route, &(start, share))| {
+            ColorPlan::new(m, spec.root, route, chunk_spans(start, share, spec.pwidth))
         })
         .collect();
-    let charge_dirs: Vec<Direction> = schedules.iter().map(|s| s.hop_dir).collect();
-
-    let st = Rc::new(State {
+    // Every node (the root included) receives every chunk of every color
+    // once off the network.
+    let per_node: usize = colors.iter().map(|c| c.chunks.len()).sum();
+    let mut ex = Executor {
         root: spec.root,
-        sources,
-        charge_dirs,
+        colors,
         intra,
         working_set: spec.working_set,
-        track: RefCell::new(Track {
-            completion: t0,
-            delivered: vec![0; n_nodes],
-            spans: vec![Vec::new(); n_nodes],
-        }),
-    });
-
-    let mut eng: Sim = Sim::new();
-    let shares = color_spans(spec.bytes, routes.len());
+        calendar: Calendar::new(),
+        completion: t0,
+        delivered: vec![0; n_nodes],
+        spans: (0..n_nodes).map(|_| Vec::with_capacity(per_node)).collect(),
+    };
     // The root has the whole message at t0, but work must enter the servers
     // in causal time order (the FIFO-server rule), so each color runs two
     // chained streams from the root: the phase-0 unicast chain (chunk k+1
     // launches when the DMA finished injecting chunk k towards the relay)
     // and the intra-node chain (the root's peers copy chunk k+1 after
     // finishing chunk k).
-    for (color, &(start, share)) in shares.iter().enumerate() {
-        let chunks = chunk_spans(start, share, spec.pwidth);
-        if chunks.is_empty() {
-            continue;
+    for (color, c) in ex.colors.iter().enumerate() {
+        if !c.chunks.is_empty() {
+            let color = color as u32;
+            ex.calendar.push(t0, Ev::RootHop { color, k: 0 });
+            ex.calendar.push(t0, Ev::RootIntra { color, k: 0 });
         }
-        let root = spec.root;
-        {
-            let st2 = st.clone();
-            let chunks2 = chunks.clone();
-            eng.schedule_at(t0, move |m, eng| {
-                root_hop_step(m, eng, &st2, color, chunks2, 0, root);
-            });
-        }
-        let st2 = st.clone();
-        eng.schedule_at(t0, move |m, eng| {
-            root_intra_step(m, eng, &st2, chunks, 0, root);
-        });
     }
-    eng.run(m);
-
-    let track = st.track.borrow();
-    // The root's redundant copies also arrive as exact spans; give the
-    // root's own data a synthetic full-cover entry is NOT needed — it
-    // receives every color's spans like everyone else.
+    let events = ex.run(m);
     BcastOutcome {
-        completion: track.completion,
-        delivered: track.delivered.clone(),
-        spans: track.spans.clone(),
-        events: eng.events_executed(),
+        completion: ex.completion,
+        delivered: ex.delivered,
+        spans: ex.spans,
+        events,
     }
 }
 
-/// Root phase-0 chain for one color: unicast chunk `k` one hop to the
-/// color's relay, then chain chunk `k+1` at the injection-complete time.
-/// The relay's arrival event (like every arrival) forwards the chunk on the
-/// lines the relay sources.
-fn root_hop_step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<State>,
-    color: usize,
-    chunks: Vec<Span>,
-    k: usize,
-    root: NodeId,
-) {
-    let now = eng.now();
-    let span = chunks[k];
-    let dir = st.charge_dirs[color];
-    let (inj_done, arrival) = ops::hop_transfer(m, now, root, dir, span.1, st.working_set);
-    let relay = m.node_at(m.cfg.dims.neighbor(m.coord(root), dir));
-    schedule_arrivals(eng, st, color, span, vec![(relay, arrival)]);
-    if k + 1 < chunks.len() {
-        let st2 = st.clone();
-        eng.schedule_at(inj_done, move |m, eng| {
-            root_hop_step(m, eng, &st2, color, chunks, k + 1, root);
-        });
+impl Executor {
+    /// Fire events until the calendar drains; returns how many fired.
+    fn run(&mut self, m: &mut Machine) -> u64 {
+        let mut events = 0;
+        while let Some((now, ev)) = self.calendar.pop() {
+            events += 1;
+            match ev {
+                Ev::RootHop { color, k } => self.root_hop(m, now, color, k),
+                Ev::RootIntra { color, k } => self.root_intra(m, now, color, k),
+                Ev::Wire { color, k, dst } => {
+                    let bytes = self.colors[color as usize].chunks[k as usize].1;
+                    let arr = ops::dma_recv(m, now, dst, bytes, self.working_set);
+                    self.calendar.push(arr, Ev::Recv { color, k, dst });
+                }
+                Ev::Recv { color, k, dst } => self.recv(m, now, color, k, dst),
+            }
+        }
+        events
     }
-}
 
-/// Root intra-node chain for one color: the root's node peers copy the
-/// chunks out of the root rank's buffer as a pipelined stream.
-fn root_intra_step(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<State>,
-    chunks: Vec<Span>,
-    k: usize,
-    root: NodeId,
-) {
-    let now = eng.now();
-    let done = (st.intra)(m, now, root, chunks[k].1);
-    m.probe.record("intra_stage", root.0, now, done);
-    {
-        let mut tr = st.track.borrow_mut();
-        tr.completion = tr.completion.max(done);
+    /// Root phase-0 chain for one color: unicast chunk `k` one hop to the
+    /// color's relay, then chain chunk `k+1` at the injection-complete
+    /// time. The relay's arrival (like every arrival) forwards the chunk on
+    /// the lines the relay sources.
+    fn root_hop(&mut self, m: &mut Machine, now: SimTime, color: u32, k: u32) {
+        let c = &self.colors[color as usize];
+        let bytes = c.chunks[k as usize].1;
+        let (inj_done, wire) =
+            ops::hop_transfer(m, now, self.root, c.hop_dir, bytes, self.working_set);
+        self.calendar.push(
+            wire,
+            Ev::Wire {
+                color,
+                k,
+                dst: c.relay,
+            },
+        );
+        if (k as usize) + 1 < c.chunks.len() {
+            self.calendar
+                .push(inj_done, Ev::RootHop { color, k: k + 1 });
+        }
     }
-    if k + 1 < chunks.len() {
-        let st2 = st.clone();
-        eng.schedule_at(done.max(now), move |m, eng| {
-            root_intra_step(m, eng, &st2, chunks, k + 1, root);
-        });
-    }
-}
 
-fn schedule_arrivals(
-    eng: &mut Sim,
-    st: &Rc<State>,
-    color: usize,
-    span: Span,
-    arrivals: Vec<(NodeId, SimTime)>,
-) {
-    // Two-step delivery: at the wire time the destination charges its DMA
-    // reception; the chunk is usable (and forwardable) once that completes.
-    for (dst, wire) in arrivals {
-        let st2 = st.clone();
-        eng.schedule_at(wire, move |m, eng| {
-            let arr = ops::dma_recv(m, eng.now(), dst, span.1, st2.working_set);
-            let st3 = st2.clone();
-            eng.schedule_at(arr, move |m, eng| {
-                on_chunk(m, eng, &st3, color, span, dst);
-            });
-        });
+    /// Root intra-node chain for one color: the root's node peers copy the
+    /// chunks out of the root rank's buffer as a pipelined stream.
+    fn root_intra(&mut self, m: &mut Machine, now: SimTime, color: u32, k: u32) {
+        let chunks = &self.colors[color as usize].chunks;
+        let done = (self.intra)(m, now, self.root, chunks[k as usize].1);
+        m.probe.record("intra_stage", self.root.0, now, done);
+        self.completion = self.completion.max(done);
+        if (k as usize) + 1 < chunks.len() {
+            self.calendar
+                .push(done.max(now), Ev::RootIntra { color, k: k + 1 });
+        }
     }
-}
 
-/// Non-root `node` received one `bytes`-sized chunk of `color` as of
-/// `eng.now()`: account it, distribute it intra-node, and forward it on
-/// every line this node sources for this color.
-fn on_chunk(
-    m: &mut Machine,
-    eng: &mut Sim,
-    st: &Rc<State>,
-    color: usize,
-    span: Span,
-    node: NodeId,
-) {
-    let now = eng.now();
-    let bytes = span.1;
-    {
-        let mut track = st.track.borrow_mut();
-        track.delivered[node.idx()] += bytes;
-        track.spans[node.idx()].push(span);
+    /// `node` holds chunk `k` of `color` as of `now`: account it,
+    /// distribute it intra-node, and forward it on every line this node
+    /// sources for this color (the later phases of the spanning tree).
+    fn recv(&mut self, m: &mut Machine, now: SimTime, color: u32, k: u32, node: NodeId) {
+        let c = &self.colors[color as usize];
+        let span = c.chunks[k as usize];
+        self.delivered[node.idx()] += span.1;
+        self.spans[node.idx()].push(span);
         // The root's intra-node distribution runs from t0 out of the root
-        // rank's own buffer (root_intra_step); its redundant network copy
-        // needs no further processing.
-        let done = if node == st.root {
+        // rank's own buffer (root_intra); its redundant network copy needs
+        // no further processing.
+        let done = if node == self.root {
             now
         } else {
-            let done = (st.intra)(m, now, node, bytes);
+            let done = (self.intra)(m, now, node, span.1);
             m.probe.count("torus_chunks", 1);
             m.probe.record("intra_stage", node.0, now, done);
             done
         };
-        track.completion = track.completion.max(done);
-    }
-    // Forward on every line this node sources for this color (the later
-    // phases of the spanning tree).
-    if let Some(lines) = st.sources[color].get(&node) {
-        let lines = lines.clone();
-        let charge = st.charge_dirs[color];
-        for lb in lines {
-            let d = ops::line_transfer(m, now, lb, charge, bytes, st.working_set);
-            schedule_arrivals(eng, st, color, span, d.arrivals);
+        self.completion = self.completion.max(done);
+        let calendar = &mut self.calendar;
+        let lines = &c.lines[c.first[node.idx()] as usize..c.first[node.idx() + 1] as usize];
+        for &(a, b) in lines {
+            let line = &c.hops[a as usize..b as usize];
+            ops::line_transfer(m, now, node, line, span.1, self.working_set, |dst, wire| {
+                calendar.push(wire, Ev::Wire { color, k, dst })
+            });
         }
     }
 }
@@ -392,6 +416,31 @@ mod tests {
             run_torus_bcast(&mut m, &spec(2 << 20), identity_stage()).completion
         };
         assert_eq!(run(), run());
+
+        // Pinned outcomes on the quad-mode test machine: the event count
+        // (two per chunk arrival plus the root's two chains) and the
+        // simulated completion, bare and with a DMA intra stage that
+        // contends with every reception on the node's DMA engine — any
+        // change in event or reservation order moves these.
+        let dma_stage = || -> IntraStage {
+            Rc::new(|m, now, node, b| ops::dma_local_distribute(m, now, node, b, 3, 16 << 20))
+        };
+        for (bytes, events, bare_ns, dma_ns) in [
+            (1u64, 130u64, 2_516u64, 2_517u64),
+            (65_537, 780, 120_259, 187_133),
+            (1 << 20, 2_340, 947_597, 1_907_448),
+        ] {
+            for (stage, want_ns) in [(identity_stage(), bare_ns), (dma_stage(), dma_ns)] {
+                let mut m = machine(OpMode::Quad);
+                let out = run_torus_bcast(&mut m, &spec(bytes), stage);
+                assert_eq!(out.events, events, "events at {bytes} B");
+                assert_eq!(
+                    out.completion.as_nanos(),
+                    want_ns,
+                    "completion at {bytes} B"
+                );
+            }
+        }
     }
 
     #[test]

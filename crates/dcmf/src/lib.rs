@@ -9,9 +9,11 @@
 //! are built from:
 //!
 //! * [`ops::line_transfer`] — a deposit-bit line broadcast of one pipeline
-//!   chunk: reserves each link of the line (wormhole-pipelined), charges the
-//!   source DMA for injection and every destination DMA+memory for
-//!   reception, and returns per-node arrival times.
+//!   chunk over a line planned once by [`ops::plan_line`]: charges the
+//!   source DMA+memory for injection, reserves each delivery link in hop
+//!   order (wormhole-pipelined), and hands every destination's wire time to
+//!   the caller without allocating; the destination charges its reception
+//!   ([`ops::dma_recv`]) in its own event at that time.
 //! * [`ops::dma_local_distribute`] — the DMA Direct-Put intra-node fan-out
 //!   of quad mode (the baseline whose DMA exhaustion motivates the paper).
 //! * [`ops::core_copy`] — a processor-core memcpy, coupled to the node

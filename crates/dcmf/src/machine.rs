@@ -8,24 +8,25 @@ use bgp_sim::{Engine, Probe, ServerId, ServerPool, SimTime};
 /// The simulation engine type used throughout the reproduction.
 pub type Sim = Engine<Machine>;
 
-/// Per-node server ids.
-#[derive(Debug, Clone)]
-struct NodeServers {
-    /// Outgoing link in each of the six directions (the *sender* side
-    /// owns the link server; the wire is full duplex, so each direction is
-    /// an independent 425 MB/s resource).
-    links: [ServerId; 6],
-    /// The DMA engine (aggregate: injection + reception + local copies).
-    dma: ServerId,
-    /// The memory subsystem (aggregate bandwidth, all cores + DMA).
-    mem: ServerId,
-    /// The four cores.
-    cores: [ServerId; 4],
-    /// Collective-network uplink (towards the tree root).
-    tree_up: ServerId,
-    /// Collective-network downlink (towards the leaves).
-    tree_down: ServerId,
-}
+/// Servers per node, allocated node by node in this fixed layout (a
+/// server's id is `node * SERVERS_PER_NODE + slot`):
+///
+/// * slots 0–5: the outgoing link in each direction, in [`Direction::ALL`]
+///   order (the *sender* side owns the link server; the wire is full
+///   duplex, so each direction is an independent 425 MB/s resource);
+/// * [`DMA`]: the DMA engine (aggregate: injection + reception + local
+///   copies);
+/// * [`MEM`]: the memory subsystem (aggregate bandwidth, all cores + DMA);
+/// * [`CORE0`]`..+4`: the four cores;
+/// * [`TREE_UP`] / [`TREE_DOWN`]: the collective-network uplink (towards
+///   the tree root) and downlink (towards the leaves).
+const SERVERS_PER_NODE: u32 = 14;
+const DMA: u32 = 6;
+const MEM: u32 = 7;
+const CORE0: u32 = 8;
+const CORES: u32 = 4;
+const TREE_UP: u32 = 12;
+const TREE_DOWN: u32 = 13;
 
 /// The dynamic machine state: configuration + topology + all servers.
 ///
@@ -41,7 +42,6 @@ pub struct Machine {
     /// Per-phase span/counter recorder (disabled by default; recording
     /// never affects timing — see `bgp_sim::probe`).
     pub probe: Probe,
-    nodes: Vec<NodeServers>,
 }
 
 impl Machine {
@@ -50,67 +50,71 @@ impl Machine {
         let n = cfg.node_count();
         let tree = TreeTopology::balanced(n, cfg.tree.arity);
         let mut pool = ServerPool::new();
-        let mut nodes = Vec::with_capacity(n as usize);
-        for id in 0..n {
-            let links =
-                core::array::from_fn(|d| pool.alloc(format!("n{id}.link.{}", Direction::ALL[d])));
-            let dma = pool.alloc(format!("n{id}.dma"));
-            let mem = pool.alloc(format!("n{id}.mem"));
-            let cores = core::array::from_fn(|c| pool.alloc(format!("n{id}.core{c}")));
-            let tree_up = pool.alloc(format!("n{id}.tree_up"));
-            let tree_down = pool.alloc(format!("n{id}.tree_down"));
-            nodes.push(NodeServers {
-                links,
-                dma,
-                mem,
-                cores,
-                tree_up,
-                tree_down,
-            });
+        for _ in 0..n * SERVERS_PER_NODE {
+            pool.alloc();
         }
         Machine {
             cfg,
             tree,
             pool,
             probe: Probe::new(),
-            nodes,
         }
+    }
+
+    #[inline]
+    fn server(node: NodeId, slot: u32) -> ServerId {
+        ServerId(node.0 * SERVERS_PER_NODE + slot)
     }
 
     /// The outgoing link server of `node` in `dir`.
     #[inline]
     pub fn link(&self, node: NodeId, dir: Direction) -> ServerId {
-        self.nodes[node.idx()].links[dir.index()]
+        Self::server(node, dir.index() as u32)
     }
 
     /// The DMA engine server of `node`.
     #[inline]
     pub fn dma(&self, node: NodeId) -> ServerId {
-        self.nodes[node.idx()].dma
+        Self::server(node, DMA)
     }
 
     /// The memory server of `node`.
     #[inline]
     pub fn mem(&self, node: NodeId) -> ServerId {
-        self.nodes[node.idx()].mem
+        Self::server(node, MEM)
     }
 
     /// Core `c` (0..4) of `node`.
     #[inline]
     pub fn core(&self, node: NodeId, c: u32) -> ServerId {
-        self.nodes[node.idx()].cores[c as usize]
+        assert!(c < CORES, "core {c} out of range");
+        Self::server(node, CORE0 + c)
     }
 
     /// The tree uplink of `node`.
     #[inline]
     pub fn tree_up(&self, node: NodeId) -> ServerId {
-        self.nodes[node.idx()].tree_up
+        Self::server(node, TREE_UP)
     }
 
     /// The tree downlink of `node`.
     #[inline]
     pub fn tree_down(&self, node: NodeId) -> ServerId {
-        self.nodes[node.idx()].tree_down
+        Self::server(node, TREE_DOWN)
+    }
+
+    /// The diagnostic name of server `id`, derived from the fixed per-node
+    /// layout: `n3.dma`, `n0.link.X+`, `n5.core2`, `n1.tree_up`.
+    pub fn server_name(&self, id: ServerId) -> String {
+        let (node, slot) = (id.0 / SERVERS_PER_NODE, id.0 % SERVERS_PER_NODE);
+        match slot {
+            DMA => format!("n{node}.dma"),
+            MEM => format!("n{node}.mem"),
+            TREE_UP => format!("n{node}.tree_up"),
+            TREE_DOWN => format!("n{node}.tree_down"),
+            s if s >= CORE0 => format!("n{node}.core{}", s - CORE0),
+            s => format!("n{node}.link.{}", Direction::ALL[s as usize]),
+        }
     }
 
     /// Coordinate helpers.
@@ -135,14 +139,17 @@ impl Machine {
     /// `horizon` (usually an operation's completion time). Diagnostic for
     /// finding an algorithm's bottleneck resource.
     pub fn utilization_report(&self, horizon: SimTime, top_k: usize) -> Vec<(String, f64)> {
-        let mut v: Vec<(String, f64)> = self
+        let mut v: Vec<(ServerId, f64)> = self
             .pool
             .iter()
-            .filter_map(|(_, name, s)| s.utilization(horizon).map(|u| (name.to_string(), u)))
+            .filter_map(|(id, s)| s.utilization(horizon).map(|u| (id, u)))
             .collect();
+        // Stable: equal utilizations stay in id order.
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         v.truncate(top_k);
-        v
+        v.into_iter()
+            .map(|(id, u)| (self.server_name(id), u))
+            .collect()
     }
 
     /// Memory-server service time for `traffic_bytes` of memory-system
@@ -213,12 +220,28 @@ mod tests {
     #[test]
     fn names_are_diagnostic() {
         let m = Machine::new(MachineConfig::test_small(OpMode::Quad));
-        assert_eq!(m.pool.name(m.dma(NodeId(3))), "n3.dma");
+        assert_eq!(m.server_name(m.dma(NodeId(3))), "n3.dma");
         let xp = Direction {
             axis: Axis::X,
             sign: Sign::Plus,
         };
-        assert_eq!(m.pool.name(m.link(NodeId(0), xp)), "n0.link.X+");
+        assert_eq!(m.server_name(m.link(NodeId(0), xp)), "n0.link.X+");
+        // Every slot of a node, in allocation order.
+        let node = NodeId(5);
+        let mut want: Vec<String> = Direction::ALL
+            .iter()
+            .map(|d| format!("n5.link.{d}"))
+            .collect();
+        want.extend(["n5.dma", "n5.mem"].map(String::from));
+        want.extend((0..4).map(|c| format!("n5.core{c}")));
+        want.extend(["n5.tree_up", "n5.tree_down"].map(String::from));
+        let first = m.link(node, Direction::ALL[0]).0;
+        let got: Vec<String> = (first..first + 14)
+            .map(|i| m.server_name(ServerId(i)))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(m.core(node, 3).0, first + 11);
+        assert_eq!(m.tree_down(node).0, first + 13);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use bgp_machine::geometry::{Direction, NodeId};
 use bgp_machine::routing::LineBcast;
-use bgp_sim::SimTime;
+use bgp_sim::{ServerId, SimTime};
 
 use crate::machine::Machine;
 
@@ -43,18 +43,45 @@ pub fn core_busy(m: &mut Machine, now: SimTime, node: NodeId, core: u32, dur: Si
     fin
 }
 
-/// Result of a deposit-bit line transfer.
-#[derive(Debug, Clone)]
-pub struct LineDelivery {
-    /// When the source DMA finished injecting (the source may start its
-    /// next chunk on this line after this time).
-    pub inject_done: SimTime,
-    /// `(node, wire delivery time)` for every destination, in hop order.
-    /// The destination's DMA reception ([`dma_recv`]) must be charged by an
-    /// event *at* the wire time — charging it eagerly from the source's
-    /// event would reserve the destination's DMA at a future instant and
-    /// phantom-block other streams (the FIFO-server causality rule).
-    pub arrivals: Vec<(NodeId, SimTime)>,
+/// One delivery of a planned deposit-bit line: the destination, the link
+/// server that carries the chunk into it, and its hop count from the
+/// source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineHop {
+    /// The node the routers deposit the chunk at.
+    pub dst: NodeId,
+    /// The delivery link: `dst`'s incoming link in the charged direction
+    /// class (owned by `dst`'s upstream neighbor in that class).
+    pub link: ServerId,
+    /// Hops from the source (1 for the first destination).
+    pub hop: u32,
+}
+
+/// Resolve the geometry of line broadcast `lb` once: its destinations in
+/// hop order, each with the delivery link [`line_transfer`] reserves.
+///
+/// `charge_dir` selects which direction class pays for each delivery: the
+/// edge-disjoint multi-color schedule dedicates one direction class to each
+/// color (see `bgp_machine::routing::nr_schedule`), so a delivery into
+/// `dst` reserves `dst`'s *incoming link in `charge_dir`* regardless of the
+/// traversal axis. For the bulk (final) phase the two coincide physically;
+/// for earlier phases this accounts the color's load on its own class, the
+/// balance the real edge-disjoint construction achieves.
+pub fn plan_line(m: &Machine, lb: LineBcast, charge_dir: Direction) -> Vec<LineHop> {
+    let dims = m.cfg.dims;
+    let mut cur = lb.from;
+    (1..dims.extent(lb.dir.axis))
+        .map(|hop| {
+            let dst_coord = dims.neighbor(cur, lb.dir);
+            let upstream = dims.neighbor(dst_coord, charge_dir.opposite());
+            cur = dst_coord;
+            LineHop {
+                dst: m.node_at(dst_coord),
+                link: m.link(m.node_at(upstream), charge_dir),
+                hop,
+            }
+        })
+        .collect()
 }
 
 /// Charge `node`'s DMA + memory for receiving `bytes` off the torus into
@@ -76,32 +103,28 @@ pub fn dma_recv(
     fin
 }
 
-/// A deposit-bit line broadcast of one chunk: `lb.from` injects `bytes`
-/// along `lb.dir`; the torus routers deposit a copy at every node of the
-/// line.
+/// A deposit-bit line broadcast of one chunk: `src` injects `bytes` along
+/// the planned `line` (from [`plan_line`]); the torus routers deposit a copy
+/// at every node of the line.
 ///
-/// Charges: source DMA (injection read: engine + memory), one delivery link
-/// per destination (wormhole-pipelined: the head moves one hop per
-/// `hop_latency`), and each destination's DMA + memory for the reception
-/// write.
+/// Charges the source DMA once (injection read: engine + memory), then one
+/// delivery link per destination in hop order (wormhole-pipelined: the head
+/// moves one hop per `hop_latency`).
 ///
-/// `charge_dir` selects which direction class pays for each delivery: the
-/// edge-disjoint multi-color schedule dedicates one direction class to each
-/// color (see `bgp_machine::routing::nr_schedule`), so a delivery into
-/// `dst` reserves `dst`'s *incoming link in `charge_dir`* regardless of the
-/// traversal axis. For the bulk (final) phase the two coincide physically;
-/// for earlier phases this accounts the color's load on its own class, the
-/// balance the real edge-disjoint construction achieves.
+/// Each destination's `(node, wire delivery time)` is handed to `deliver`
+/// in hop order. The destination's DMA reception ([`dma_recv`]) must be
+/// charged by an event *at* the wire time — charging it eagerly from the
+/// source's event would reserve the destination's DMA at a future instant
+/// and phantom-block other streams (the FIFO-server causality rule).
 pub fn line_transfer(
     m: &mut Machine,
     now: SimTime,
-    lb: LineBcast,
-    charge_dir: Direction,
+    src: NodeId,
+    line: &[LineHop],
     bytes: u64,
     working_set: u64,
-) -> LineDelivery {
-    let dims = m.cfg.dims;
-    let src = m.node_at(lb.from);
+    mut deliver: impl FnMut(NodeId, SimTime),
+) {
     let link_t = m.link_time(bytes);
 
     // Injection: the source DMA reads the payload from memory and feeds the
@@ -116,35 +139,20 @@ pub fn line_transfer(
     m.probe.record("dma_inject", src.0, now, inj_done);
     m.probe.count("line_chunks", 1);
 
-    let mut out = Vec::new();
-    let mut cur = lb.from;
     // Hop progression is source-clocked: the chunk's head can reach hop i
     // no earlier than `now + i * hop_latency`. Each delivery link then
     // serializes the stream through its own FIFO. (Chaining hop i+1 to hop
     // i's *finish* would freeze transient queueing jitter into permanent
     // idle holes on downstream links; real torus routers buffer per-VC and
     // catch up, which per-link FIFOs model correctly.)
-    let ext = dims.extent(lb.dir.axis);
-    for hop in 1..ext {
-        let dst_coord = dims.neighbor(cur, lb.dir);
-        let dst = m.node_at(dst_coord);
-        // The delivery link: dst's incoming link in the color's class.
-        let upstream = dims.neighbor(dst_coord, charge_dir.opposite());
-        let link = m.link(m.node_at(upstream), charge_dir);
-        let head = now + m.cfg.torus.hop_latency(hop);
-        let fin = m.pool.reserve(link, head, link_t);
-        m.probe.record("link_transfer", dst.0, head, fin);
+    for h in line {
+        let head = now + m.cfg.torus.hop_latency(h.hop);
+        let fin = m.pool.reserve(h.link, head, link_t);
+        m.probe.record("link_transfer", h.dst.0, head, fin);
         // The wire has delivered once the link finished serializing and the
         // injection side is done; the destination charges its reception
         // (dma_recv) in its own event at this time.
-        let wire_done = fin.max(inj_done);
-        out.push((dst, wire_done));
-        cur = dst_coord;
-    }
-
-    LineDelivery {
-        inject_done: inj_done,
-        arrivals: out,
+        deliver(h.dst, fin.max(inj_done));
     }
 }
 
@@ -388,6 +396,23 @@ mod tests {
         }
     }
 
+    /// One chunk down `lb` (charged on its own direction), its arrivals
+    /// collected in hop order.
+    fn line_arrivals(
+        m: &mut Machine,
+        now: SimTime,
+        lb: LineBcast,
+        bytes: u64,
+    ) -> Vec<(NodeId, SimTime)> {
+        let line = plan_line(m, lb, lb.dir);
+        let mut arr = Vec::new();
+        let src = m.node_at(lb.from);
+        line_transfer(m, now, src, &line, bytes, WS, |dst, wire| {
+            arr.push((dst, wire))
+        });
+        arr
+    }
+
     #[test]
     fn line_transfer_covers_the_line_in_hop_order() {
         let mut m = machine();
@@ -395,7 +420,7 @@ mod tests {
             from: Coord::new(0, 0, 0),
             dir: xp(),
         };
-        let arr = line_transfer(&mut m, SimTime::ZERO, lb, xp(), 16 * 1024, WS).arrivals;
+        let arr = line_arrivals(&mut m, SimTime::ZERO, lb, 16 * 1024);
         assert_eq!(arr.len(), 3); // extent 4, three destinations
                                   // Arrivals strictly increase with hop count.
         for w in arr.windows(2) {
@@ -419,7 +444,7 @@ mod tests {
         let mut last_arrivals = Vec::new();
         let mut now = SimTime::ZERO;
         for _ in 0..20 {
-            let arr = line_transfer(&mut m, now, lb, xp(), bytes, WS).arrivals;
+            let arr = line_arrivals(&mut m, now, lb, bytes);
             last_arrivals.push(arr.last().unwrap().1);
             now = SimTime::ZERO; // submit back-to-back; servers serialize
         }
@@ -443,7 +468,7 @@ mod tests {
             from: Coord::new(0, 0, 0),
             dir: xp(),
         };
-        let arr = line_transfer(&mut m, SimTime::ZERO, lb, xp(), bytes, WS).arrivals;
+        let arr = line_arrivals(&mut m, SimTime::ZERO, lb, bytes);
         let last = arr.last().unwrap().1;
         let ser = m.link_time(bytes).as_nanos();
         assert!(

@@ -1,45 +1,176 @@
-//! The discrete-event engine.
+//! The discrete-event engine and its calendar.
 //!
 //! A minimal, deterministic event loop: events are `FnOnce(&mut C, &mut
 //! Engine<C>)` closures keyed by `(time, sequence)`. The sequence number
 //! breaks ties so that two events scheduled for the same instant always fire
 //! in scheduling order — this is what makes whole-machine simulations of
 //! thousands of ranks reproducible run-to-run.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//!
+//! The pending events live in a [`Calendar`], the only priority queue of the
+//! simulator crates: [`Engine`] stores boxed closures in it, and executors
+//! with a fixed event vocabulary (the torus broadcast in `bgp-ccmi`) store a
+//! plain event enum and fire it from a `match` loop of their own.
+//!
+//! **Why the order is exact.** Every entry carries the unique key
+//! `(time, seq)`, packed into a `u128` (time in the high 64 bits, a
+//! per-calendar counter in the low 64). Keys never repeat, so "pop the
+//! smallest key" names exactly one entry: the earliest event, and among equal
+//! times the one scheduled first — the order a binary heap over the same key
+//! yields, tie for tie.
+//!
+//! **The monotone-key invariant.** No key is ever pushed below the last key
+//! popped: an event is scheduled at or after the current time (the engine
+//! asserts it), and `seq` only grows. That is what lets the calendar be a
+//! *radix* queue: an entry sits in the bucket named by the highest bit in
+//! which its key differs from the last popped key, so the smallest key is
+//! always in the lowest non-empty bucket, and each entry moves to a lower
+//! bucket at most once per bit — no comparisons beyond scanning that one
+//! bucket. Peeking ([`Calendar::peek_time`]) reads the head without popping
+//! it, so the base does not move: after [`Engine::run_until`] stops short of
+//! the head, new events may still be scheduled between the current time and
+//! the old head.
 
 use crate::time::SimTime;
 
-type EventFn<C> = Box<dyn FnOnce(&mut C, &mut Engine<C>)>;
+/// Bucket count of a radix queue over `u128` keys: bucket 0 holds keys
+/// equal to the base, bucket `b` those whose highest bit differing from it
+/// is bit `b - 1`.
+const BUCKETS: usize = 129;
 
-struct Entry<C> {
-    at: SimTime,
+/// A priority queue of events of type `E` keyed by `(time, seq)`: pops the
+/// earliest event, ties in scheduling order.
+///
+/// Keys must be monotone: [`push`](Calendar::push) panics on a time before
+/// the last popped one.
+///
+/// ```
+/// use bgp_sim::{Calendar, SimTime};
+///
+/// let mut cal = Calendar::new();
+/// cal.push(SimTime::from_nanos(7), 'b');
+/// cal.push(SimTime::from_nanos(3), 'a');
+/// cal.push(SimTime::from_nanos(7), 'c');
+/// assert_eq!(cal.peek_time(), Some(SimTime::from_nanos(3)));
+/// let order: Vec<char> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+/// assert_eq!(order, ['a', 'b', 'c']);
+/// ```
+pub struct Calendar<E> {
+    buckets: Vec<Vec<(u128, E)>>,
+    /// Bit `b - 1` set iff bucket `b >= 1` is non-empty.
+    occupied: u128,
+    /// The last popped key: every pending key is at least this.
+    base: u128,
     seq: u64,
-    f: EventFn<C>,
+    len: usize,
 }
 
-impl<C> PartialEq for Entry<C> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<E> Default for Calendar<E> {
+    fn default() -> Self {
+        Self::new()
     }
 }
-impl<C> Eq for Entry<C> {}
-impl<C> PartialOrd for Entry<C> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+impl<E> Calendar<E> {
+    /// An empty calendar.
+    pub fn new() -> Self {
+        Calendar {
+            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: 0,
+            base: 0,
+            seq: 0,
+            len: 0,
+        }
+    }
+
+    /// Number of pending events.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if nothing is pending.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    #[inline]
+    fn bucket_of(&self, key: u128) -> usize {
+        (u128::BITS - (key ^ self.base).leading_zeros()) as usize
+    }
+
+    #[inline]
+    fn file(&mut self, key: u128, e: E) {
+        let b = self.bucket_of(key);
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
+        }
+        self.buckets[b].push((key, e));
+    }
+
+    /// Schedule `e` at `at`, after every event already scheduled at `at`.
+    ///
+    /// Panics if `at` is before the last popped event's time.
+    #[inline]
+    pub fn push(&mut self, at: SimTime, e: E) {
+        let key = (u128::from(at.as_nanos()) << 64) | u128::from(self.seq);
+        assert!(
+            key >= self.base,
+            "calendar push below its base: at={at} base={}",
+            SimTime::from_nanos((self.base >> 64) as u64)
+        );
+        self.seq += 1;
+        self.len += 1;
+        self.file(key, e);
+    }
+
+    /// The lowest non-empty bucket above 0, if any.
+    #[inline]
+    fn lowest_occupied(&self) -> Option<usize> {
+        (self.occupied != 0).then(|| self.occupied.trailing_zeros() as usize + 1)
+    }
+
+    /// The time of the earliest pending event, without popping it (the base
+    /// stays put).
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let key = match self.buckets[0].first() {
+            Some(&(k, _)) => k,
+            None => {
+                let b = self.lowest_occupied()?;
+                self.buckets[b].iter().map(|&(k, _)| k).min()?
+            }
+        };
+        Some(SimTime::from_nanos((key >> 64) as u64))
+    }
+
+    /// Remove and return the earliest pending event and its time.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if self.buckets[0].is_empty() {
+            // Rebase on the smallest key of the lowest non-empty bucket and
+            // refile that bucket: every entry lands strictly lower, the
+            // minimum in bucket 0.
+            let b = self.lowest_occupied()?;
+            let mut spill = std::mem::take(&mut self.buckets[b]);
+            self.occupied &= !(1 << (b - 1));
+            self.base = spill
+                .iter()
+                .map(|&(k, _)| k)
+                .min()
+                .expect("occupied bucket");
+            for (k, e) in spill.drain(..) {
+                self.file(k, e);
+            }
+            // Keep the emptied bucket's capacity for reuse.
+            self.buckets[b] = spill;
+        }
+        // Keys are unique, so bucket 0 (keys equal to the base) holds one.
+        let (key, e) = self.buckets[0].pop()?;
+        self.len -= 1;
+        Some((SimTime::from_nanos((key >> 64) as u64), e))
     }
 }
-impl<C> Ord for Entry<C> {
-    /// Reversed so the `BinaryHeap` (a max-heap) pops the *earliest* event;
-    /// among equal times, the lowest sequence number fires first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+
+type EventFn<C> = Box<dyn FnOnce(&mut C, &mut Engine<C>)>;
 
 /// A deterministic discrete-event engine over a user context `C`.
 ///
@@ -58,9 +189,8 @@ impl<C> Ord for Entry<C> {
 /// assert_eq!(engine.now(), SimTime::from_nanos(105));
 /// ```
 pub struct Engine<C> {
-    heap: BinaryHeap<Entry<C>>,
+    calendar: Calendar<EventFn<C>>,
     now: SimTime,
-    seq: u64,
     executed: u64,
 }
 
@@ -74,9 +204,8 @@ impl<C> Engine<C> {
     /// A fresh engine at time zero with an empty calendar.
     pub fn new() -> Self {
         Engine {
-            heap: BinaryHeap::new(),
+            calendar: Calendar::new(),
             now: SimTime::ZERO,
-            seq: 0,
             executed: 0,
         }
     }
@@ -97,7 +226,7 @@ impl<C> Engine<C> {
     /// Number of events still pending.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.calendar.len()
     }
 
     /// Schedule `f` at absolute time `at`.
@@ -110,13 +239,7 @@ impl<C> Engine<C> {
             "event scheduled in the past: at={at} now={}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            f: Box::new(f),
-        });
+        self.calendar.push(at, Box::new(f));
     }
 
     /// Schedule `f` after a relative `delay`.
@@ -133,13 +256,13 @@ impl<C> Engine<C> {
     /// Execute the single earliest pending event. Returns `false` when the
     /// calendar is empty.
     pub fn step(&mut self, ctx: &mut C) -> bool {
-        match self.heap.pop() {
+        match self.calendar.pop() {
             None => false,
-            Some(e) => {
-                debug_assert!(e.at >= self.now, "event heap violated time order");
-                self.now = e.at;
+            Some((at, f)) => {
+                debug_assert!(at >= self.now, "calendar violated time order");
+                self.now = at;
                 self.executed += 1;
-                (e.f)(ctx, self);
+                f(ctx, self);
                 true
             }
         }
@@ -155,8 +278,8 @@ impl<C> Engine<C> {
     /// first. Events scheduled beyond the deadline stay pending; `now` is
     /// left at the last executed event (not advanced to the deadline).
     pub fn run_until(&mut self, ctx: &mut C, deadline: SimTime) -> SimTime {
-        while let Some(head) = self.heap.peek() {
-            if head.at > deadline {
+        while let Some(head) = self.calendar.peek_time() {
+            if head > deadline {
                 break;
             }
             self.step(ctx);

@@ -12,8 +12,10 @@
 //!    sequence number, never by allocation order or hash iteration.
 //! 2. **No global state.** The engine is generic over a user context `C`;
 //!    every event is a closure receiving `(&mut C, &mut Engine<C>)`.
-//! 3. **Cheap events.** The hot loop is a `BinaryHeap` pop and a boxed-closure
-//!    call; no allocation beyond the one `Box` per event.
+//! 3. **Cheap events.** The hot loop is a radix-[`Calendar`] pop and a
+//!    boxed-closure call; no allocation beyond the one `Box` per event.
+//!    Executors with a fixed event vocabulary drive a `Calendar` of plain
+//!    enum values directly and allocate nothing per event.
 //!
 //! The resource model ([`Server`], [`ServerPool`], coupled finishes) is the
 //! part that makes bandwidth contention honest: a serial FIFO server with a
@@ -29,7 +31,7 @@ pub mod rng;
 pub mod server;
 pub mod time;
 
-pub use engine::Engine;
+pub use engine::{Calendar, Engine};
 pub use probe::{Breakdown, PhaseSlice, Probe, Span, TRACE_SCHEMA};
 pub use rate::Rate;
 pub use rng::Rng;

@@ -108,15 +108,16 @@ impl Server {
     }
 }
 
-/// A named collection of [`Server`]s addressed by [`ServerId`].
+/// A collection of [`Server`]s addressed by [`ServerId`].
 ///
 /// The machine model allocates every link / engine / core up front and then
 /// refers to them by id from event closures (ids are `Copy`, closures stay
-/// `'static`).
+/// `'static`). Ids are dense in allocation order; a pool keeps no names —
+/// the owner that fixed the layout derives them on demand (e.g.
+/// `bgp_dcmf::Machine::server_name`).
 #[derive(Debug, Default)]
 pub struct ServerPool {
     servers: Vec<Server>,
-    names: Vec<String>,
 }
 
 impl ServerPool {
@@ -125,11 +126,10 @@ impl ServerPool {
         Self::default()
     }
 
-    /// Allocate a new idle server with a diagnostic `name`.
-    pub fn alloc(&mut self, name: impl Into<String>) -> ServerId {
+    /// Allocate a new idle server.
+    pub fn alloc(&mut self) -> ServerId {
         let id = ServerId(self.servers.len() as u32);
         self.servers.push(Server::new());
-        self.names.push(name.into());
         id
     }
 
@@ -147,11 +147,6 @@ impl ServerPool {
     #[inline]
     pub fn get(&self, id: ServerId) -> &Server {
         &self.servers[id.0 as usize]
-    }
-
-    /// The diagnostic name given at allocation.
-    pub fn name(&self, id: ServerId) -> &str {
-        &self.names[id.0 as usize]
     }
 
     /// Reserve `duration` on a single server. Returns completion time.
@@ -184,7 +179,7 @@ impl ServerPool {
         completion
     }
 
-    /// Reset every server to idle, keeping the allocation and names. Used
+    /// Reset every server to idle, keeping the allocation. Used
     /// between benchmark iterations so each timed collective starts from a
     /// quiet machine.
     pub fn reset(&mut self) {
@@ -193,13 +188,12 @@ impl ServerPool {
         }
     }
 
-    /// Iterate `(id, name, server)` for reporting.
-    pub fn iter(&self) -> impl Iterator<Item = (ServerId, &str, &Server)> {
+    /// Iterate `(id, server)` in id order, for reporting.
+    pub fn iter(&self) -> impl Iterator<Item = (ServerId, &Server)> {
         self.servers
             .iter()
-            .zip(self.names.iter())
             .enumerate()
-            .map(|(i, (s, n))| (ServerId(i as u32), n.as_str(), s))
+            .map(|(i, s)| (ServerId(i as u32), s))
     }
 }
 
@@ -257,22 +251,20 @@ mod tests {
     }
 
     #[test]
-    fn pool_alloc_and_names() {
+    fn pool_alloc_hands_out_dense_ids() {
         let mut p = ServerPool::new();
         assert!(p.is_empty());
-        let a = p.alloc("link.x+");
-        let b = p.alloc("dma");
+        let a = p.alloc();
+        let b = p.alloc();
         assert_eq!(p.len(), 2);
-        assert_eq!(p.name(a), "link.x+");
-        assert_eq!(p.name(b), "dma");
-        assert_ne!(a, b);
+        assert_eq!((a, b), (ServerId(0), ServerId(1)));
     }
 
     #[test]
     fn coupled_memory_bound_op_stalls_owner_not_memory() {
         let mut p = ServerPool::new();
-        let core = p.alloc("core0");
-        let mem = p.alloc("mem");
+        let core = p.alloc();
+        let mem = p.alloc();
         // Memory is already busy until t=100; core is idle.
         p.reserve(mem, ns(0), ns(100));
         // Core copy: 10ns of core time, 20ns of memory time.
@@ -285,9 +277,9 @@ mod tests {
     #[test]
     fn coupled_cpu_bound_op_does_not_hold_memory() {
         let mut p = ServerPool::new();
-        let core = p.alloc("core0");
-        let other = p.alloc("core1");
-        let mem = p.alloc("mem");
+        let core = p.alloc();
+        let other = p.alloc();
+        let mem = p.alloc();
         // Core-bound op: 100ns core, 10ns memory.
         let done = p.reserve_coupled(core, ns(100), &[(mem, ns(10))], ns(0));
         assert_eq!(done, ns(100));
@@ -302,9 +294,9 @@ mod tests {
         // Memory can serve exactly one chunk at a time, so aggregate
         // throughput is memory-bound: 20 chunks * 10ns = 200ns.
         let mut p = ServerPool::new();
-        let c0 = p.alloc("core0");
-        let c1 = p.alloc("core1");
-        let mem = p.alloc("mem");
+        let c0 = p.alloc();
+        let c1 = p.alloc();
+        let mem = p.alloc();
         let mut t0 = SimTime::ZERO;
         let mut t1 = SimTime::ZERO;
         for _ in 0..10 {
@@ -318,22 +310,23 @@ mod tests {
     }
 
     #[test]
-    fn pool_reset_clears_state_keeps_names() {
+    fn pool_reset_clears_state() {
         let mut p = ServerPool::new();
-        let a = p.alloc("x");
+        let a = p.alloc();
         p.reserve(a, ns(0), ns(10));
         p.reset();
+        assert_eq!(p.len(), 1);
         assert_eq!(p.get(a).free_at(), SimTime::ZERO);
         assert_eq!(p.get(a).ops(), 0);
-        assert_eq!(p.name(a), "x");
     }
 
     #[test]
     fn iter_reports_all() {
         let mut p = ServerPool::new();
-        p.alloc("a");
-        p.alloc("b");
-        let names: Vec<&str> = p.iter().map(|(_, n, _)| n).collect();
-        assert_eq!(names, vec!["a", "b"]);
+        let a = p.alloc();
+        let b = p.alloc();
+        p.reserve(b, ns(0), ns(10));
+        let seen: Vec<(ServerId, u64)> = p.iter().map(|(id, s)| (id, s.ops())).collect();
+        assert_eq!(seen, vec![(a, 0), (b, 1)]);
     }
 }

@@ -65,8 +65,8 @@ fn coupled_completion_dominates() {
         let shared_d = rng.range_u64(1, 1000);
         let backlog = rng.range_u64(0, 2000);
         let mut p = ServerPool::new();
-        let own = p.alloc("own");
-        let sh = p.alloc("sh");
+        let own = p.alloc();
+        let sh = p.alloc();
         p.reserve(sh, SimTime::ZERO, SimTime::from_nanos(backlog));
         let done = p.reserve_coupled(
             own,
@@ -103,5 +103,135 @@ fn engine_replay_is_identical() {
             out
         };
         assert_eq!(run(&seed_times), run(&seed_times));
+    }
+}
+
+/// The state an event sees when it fires, shared by the engine under test
+/// and the reference: the firing log, the generator that decides what each
+/// event schedules, and the next event id.
+struct World {
+    log: Vec<(u64, u32)>,
+    rng: Rng,
+    next_id: u32,
+}
+
+impl World {
+    fn new(seed: u64) -> Self {
+        World {
+            log: Vec::new(),
+            rng: Rng::new(seed),
+            next_id: 0,
+        }
+    }
+
+    /// Log event `id` at `now` and return the delays of the children it
+    /// schedules, with their ids: zero delays and coinciding times are
+    /// common, and the population dies out on average.
+    fn fire(&mut self, now: u64, id: u32) -> Vec<(u64, u32)> {
+        self.log.push((now, id));
+        let n = [0usize, 0, 1, 2][self.rng.range_usize(0, 4)];
+        let mut out = Vec::new();
+        for _ in 0..n {
+            if self.next_id < 4_000 {
+                let delay = 5 * self.rng.range_u64(0, 4);
+                self.next_id += 1;
+                out.push((delay, self.next_id));
+            }
+        }
+        out
+    }
+}
+
+fn fire(id: u32, w: &mut World, eng: &mut Engine<World>) {
+    for (delay, child) in w.fire(eng.now().as_nanos(), id) {
+        eng.schedule_in(SimTime::from_nanos(delay), move |w, e| fire(child, w, e));
+    }
+}
+
+/// The reference calendar: a flat list of `(time, seq, id)`, popped by a
+/// linear search for the smallest `(time, seq)`.
+#[derive(Default)]
+struct Reference {
+    pending: Vec<(u64, u64, u32)>,
+    now: u64,
+    seq: u64,
+    executed: u64,
+}
+
+impl Reference {
+    fn schedule_at(&mut self, at: u64, id: u32) {
+        assert!(at >= self.now);
+        self.pending.push((at, self.seq, id));
+        self.seq += 1;
+    }
+
+    fn head(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn run_until(&mut self, w: &mut World, deadline: u64) {
+        while let Some(i) = self.head().filter(|&i| self.pending[i].0 <= deadline) {
+            let (at, _, id) = self.pending.swap_remove(i);
+            self.now = at;
+            self.executed += 1;
+            for (delay, child) in w.fire(at, id) {
+                self.schedule_at(at + delay, child);
+            }
+        }
+    }
+}
+
+/// The calendar fires events in exactly sorted `(time, seq)` order —
+/// checked against a linear-search reference over random schedules with
+/// duplicate times, zero delays, events that schedule more events at `now`,
+/// and `run_until` deadlines that stop before the head followed by new
+/// events between `now` and that head.
+#[test]
+fn calendar_order_matches_sorted_reference() {
+    let mut driver = Rng::new(0xCA1E);
+    for case in 0..200u64 {
+        let seed = driver.next_u64();
+        let mut eng: Engine<World> = Engine::new();
+        let mut ew = World::new(seed);
+        let mut reference = Reference::default();
+        let mut rw = World::new(seed);
+        let mut next_root = 1u32 << 20;
+        for _ in 0..driver.range_usize(1, 40) {
+            let now = reference.now;
+            let head = reference.head().map(|i| reference.pending[i].0);
+            match driver.range_u32(0, 3) {
+                0 => {
+                    // New root events: mostly between `now` and the head,
+                    // sometimes far beyond it (high key bits).
+                    let span = head.map_or(20, |h| h - now + 1);
+                    let mut at = now + driver.range_u64(0, span);
+                    if driver.range_u32(0, 8) == 0 {
+                        at += driver.range_u64(1, 1 << 40);
+                    }
+                    for _ in 0..driver.range_usize(1, 4) {
+                        next_root += 1;
+                        let id = next_root;
+                        eng.schedule_at(SimTime::from_nanos(at), move |w, e| fire(id, w, e));
+                        reference.schedule_at(at, id);
+                    }
+                }
+                _ => {
+                    // A deadline that may fall before the head.
+                    let deadline = now + driver.range_u64(0, 30);
+                    eng.run_until(&mut ew, SimTime::from_nanos(deadline));
+                    reference.run_until(&mut rw, deadline);
+                }
+            }
+            assert_eq!(ew.log, rw.log, "case {case}: firing order");
+            assert_eq!(eng.now().as_nanos(), reference.now, "case {case}: now");
+            assert_eq!(eng.pending(), reference.pending.len(), "case {case}");
+            assert_eq!(eng.events_executed(), reference.executed, "case {case}");
+        }
+        eng.run(&mut ew);
+        reference.run_until(&mut rw, u64::MAX);
+        assert_eq!(ew.log, rw.log, "case {case}: firing order after drain");
+        assert_eq!(eng.pending(), 0);
+        assert_eq!(eng.events_executed(), reference.executed, "case {case}");
+        assert!(rw.log.windows(2).all(|p| p[0].0 <= p[1].0), "case {case}");
     }
 }
